@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from .cyclo import decompose
 from .ideals import BudgetExhausted, primes_above
 from .intfactor import FactorBudget
 from .places import (
@@ -23,7 +24,6 @@ from .places import (
     census,
     place_report,
     scan_wieferich_places,
-    squarefree_powerful_split,
     STRATEGY_ALL_LEVELS,
     STRATEGY_PRIME_LEVELS,
 )
@@ -107,20 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_quality = commands.add_parser(
         "quality", help="quality statistic of a pair summing to a root of unity"
     )
-    p_quality.add_argument("-d", type=int, required=True)
+    _add_common(p_quality, base_required=False)
     p_quality.add_argument("--alpha", required=True, metavar="X[,Y]")
     p_quality.add_argument("--beta", required=True, metavar="X[,Y]")
-    p_quality.add_argument("--trial-limit", type=int, default=None)
-    p_quality.add_argument("--rho-iterations", type=int, default=None)
-    p_quality.add_argument("--format", choices=("json", "csv"), default="json")
-    p_quality.add_argument("--output", default=None)
 
     return parser
 
 
 def _budget_from(args) -> FactorBudget:
-    trial = getattr(args, "trial_limit", None)
-    rho = getattr(args, "rho_iterations", None)
+    trial, rho = args.trial_limit, args.rho_iterations
     if trial is None:
         trial = int(os.environ.get(ENV_TRIAL_LIMIT, 10**6))
     if rho is None:
@@ -207,7 +202,7 @@ def _ideal_rows(part: str, factorization) -> list[list]:
 def _cmd_decompose(args) -> tuple[str, int]:
     spec = FieldSpec.from_d(args.d)
     base = spec.parse_element(args.a)
-    dec = squarefree_powerful_split(args.n, base, _budget_from(args))
+    dec = decompose(base, args.n, budget=_budget_from(args))
     parts = {
         "squarefree": dec.squarefree,
         "powerful": dec.powerful,
@@ -325,8 +320,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

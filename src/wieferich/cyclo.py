@@ -20,45 +20,25 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .intfactor import FactorBudget
+from .intfactor import FactorBudget, small_factors
 from .ideals import IdealFactorization, factor_principal
-from .qfield import QuadInt
+from .qfield import InvariantViolation, QuadInt
 
 
 def divisors(n: int) -> list[int]:
     if n < 1:
         raise ValueError("divisors of positive integers only")
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1 by trial division (small arguments)."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+    out = [1]
+    for p, e in small_factors(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("totient of positive integers only")
     out = n
-    for p in prime_factors(n):
+    for p in small_factors(n):
         out -= out // p
     return out
 
@@ -66,18 +46,8 @@ def euler_phi(n: int) -> int:
 def mobius(n: int) -> int:
     if n < 1:
         raise ValueError("mobius of positive integers only")
-    out = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            out = -out
-        f += 1
-    if n > 1:
-        out = -out
-    return out
+    factors = small_factors(n)
+    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
 
 
 def totient_sieve(limit: int) -> list[int]:
@@ -99,7 +69,7 @@ def totient_density_constant(k: int) -> Fraction:
     if k < 1:
         raise ValueError("constant defined for positive moduli")
     value = Fraction(1)
-    for p in prime_factors(k):
+    for p in small_factors(k):
         value *= 1 - Fraction(gcd(k, p), p * p)
     return value
 
@@ -128,7 +98,8 @@ def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         if coeff:
             for j, c in enumerate(den):
                 num[k + j] -= coeff * c
-    assert all(c == 0 for c in num[: len(den) - 1])
+    if any(num[: len(den) - 1]):
+        raise InvariantViolation("polynomial division left a nonzero remainder")
     return quot
 
 
@@ -196,11 +167,12 @@ class CycloFactorCache:
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
-            raise ValueError("base must have magnitude above 1 for level sweeps")
+            raise ValueError("base must be neither zero nor of magnitude one")
         self.a = a
         self.field = a.field
         self.budget = budget or FactorBudget()
         self._levels: dict[int, LevelData] = {}
+        self._decompositions: list[Decomposition] = []
 
     def level(self, n: int) -> LevelData:
         if n not in self._levels:
@@ -214,6 +186,12 @@ class CycloFactorCache:
         for d in divisors(n):
             out = out.mul(self.level(d).ideal)
         return out
+
+    def sweep(self, n_max: int) -> list[Decomposition]:
+        """Decompositions of levels 1..n_max; each level is decomposed once per cache."""
+        for n in range(len(self._decompositions) + 1, n_max + 1):
+            self._decompositions.append(decompose(self.a, n, cache=self))
+        return self._decompositions[: max(n_max, 0)]
 
 
 @dataclass(frozen=True)
@@ -258,6 +236,8 @@ class Decomposition:
 def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
               budget: FactorBudget | None = None) -> Decomposition:
     """Split (a^n - 1) into squarefree and powerful parts, plus the level slice."""
+    if n < 1:
+        raise ValueError("level must be >= 1")
     if cache is None:
         cache = CycloFactorCache(a, budget)
     elif cache.a != a:
@@ -266,20 +246,12 @@ def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
     level = cache.level(n)
     squarefree = power_ideal.squarefree_part()
     powerful = power_ideal.powerful_part()
-    if power_ideal.complete and level.complete:
-        level_squarefree = level.ideal.gcd(squarefree)
-        level_powerful = level.ideal.gcd(powerful)
-    else:
-        # certified portions only; completeness flags tell the caller
-        level_known = level.ideal.exponents
-        level_squarefree = IdealFactorization(
-            a.field,
-            {P: min(e, squarefree.exponent(P)) for P, e in level_known.items() if squarefree.exponent(P)},
+
+    def level_slice(part: IdealFactorization) -> IdealFactorization:
+        return IdealFactorization(
+            a.field, {P: min(e, part.exponent(P)) for P, e in level.ideal.exponents.items()}
         )
-        level_powerful = IdealFactorization(
-            a.field,
-            {P: min(e, powerful.exponent(P)) for P, e in level_known.items() if powerful.exponent(P)},
-        )
+
     return Decomposition(
         a=a,
         n=n,
@@ -289,6 +261,6 @@ def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
         level_ideal=level.ideal,
         squarefree=squarefree,
         powerful=powerful,
-        level_squarefree=level_squarefree,
-        level_powerful=level_powerful,
+        level_squarefree=level_slice(squarefree),
+        level_powerful=level_slice(powerful),
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intfactor import FactorBudget, factorize, is_probable_prime, padic_valuation
-from .qfield import BASIS_SQRT, FieldSpec, QuadInt
+from .qfield import BASIS_SQRT, FieldSpec, InvariantViolation, QuadInt
 
 KIND_SPLIT = "split"
 KIND_INERT = "inert"
@@ -190,7 +190,8 @@ def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
     full = padic_valuation(norm_val, p)
     if P.kind == KIND_INERT:
         # the norm of an inert prime contributes in squares
-        assert full % 2 == 0
+        if full % 2:
+            raise InvariantViolation(f"odd valuation {full} of a norm at the inert prime {p}")
         return full // 2
     if P.kind == KIND_RAMIFIED:
         return full
@@ -220,18 +221,22 @@ def residue_identity(P: PrimeIdeal, m: int = 1):
     return 1 if shape == "int" else (1, 0)
 
 
+def _reduce(P: PrimeIdeal, gamma: QuadInt, m: int, shape: str, mod: int):
+    """Image of gamma in O/P^m under the (shape, mod) model of _residue_modulus."""
+    if shape == "pair":
+        return (gamma.x % mod, gamma.y % mod)
+    if P.kind == KIND_SPLIT:
+        return (gamma.x + gamma.y * _lifted_root(P.field, P.p, P.t, m)) % mod
+    if P.kind == KIND_RAMIFIED:
+        return (gamma.x + gamma.y * P.t) % mod
+    return gamma.x % mod
+
+
 def residue_reduce(P: PrimeIdeal, gamma: QuadInt, m: int = 1):
     """Canonical image of gamma in O/P^m (int, or coordinate pair)."""
     if gamma.field != P.field:
         raise ValueError("element and prime live in different fields")
-    shape, mod = _residue_modulus(P, m)
-    if shape == "pair":
-        return (gamma.x % mod, gamma.y % mod)
-    if P.kind == KIND_SPLIT:
-        return (gamma.x + gamma.y * lifted_root(P, m)) % mod
-    if P.kind == KIND_RAMIFIED:
-        return (gamma.x + gamma.y * P.t) % mod
-    return gamma.x % mod
+    return _reduce(P, gamma, m, *_residue_modulus(P, m))
 
 
 def _pair_mul(field: FieldSpec, u: tuple[int, int], v: tuple[int, int], mod: int) -> tuple[int, int]:
@@ -249,16 +254,10 @@ def residue_pow(a: QuadInt, e: int, P: PrimeIdeal, m: int = 1):
     if e < 0:
         raise ValueError("exponent must be >= 0")
     shape, mod = _residue_modulus(P, m)
+    base = _reduce(P, a, m, shape, mod)
     if shape == "int":
-        if P.kind == KIND_SPLIT:
-            base = (a.x + a.y * lifted_root(P, m)) % mod
-        elif P.kind == KIND_RAMIFIED:
-            base = (a.x + a.y * P.t) % mod
-        else:
-            base = a.x % mod
         return pow(base, e, mod)
     result = (1 % mod, 0)
-    base = (a.x % mod, a.y % mod)
     while e:
         if e & 1:
             result = _pair_mul(P.field, result, base, mod)
@@ -269,8 +268,7 @@ def residue_pow(a: QuadInt, e: int, P: PrimeIdeal, m: int = 1):
 
 
 def is_unit_mod(P: PrimeIdeal, a: QuadInt) -> bool:
-    zero = 0 if _residue_modulus(P, 1)[0] == "int" else (0, 0)
-    return residue_reduce(P, a, 1) != zero
+    return residue_reduce(P, a, 1) not in (0, (0, 0))
 
 
 def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None) -> int:

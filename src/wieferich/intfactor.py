@@ -71,6 +71,22 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(i for i, flag in enumerate(sieve) if flag)
 
 
+def small_factors(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a small n >= 1 by plain trial division."""
+    if n < 1:
+        raise ValueError("small_factors of positive integers only")
+    factors: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            factors[f] = factors.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def padic_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n != 0."""
     if n == 0:

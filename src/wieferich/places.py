@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .cyclo import CycloFactorCache, Decomposition, decompose
+from .cyclo import CycloFactorCache, decompose
 from .ideals import (
     BudgetExhausted,
     KIND_RAMIFIED,
@@ -25,11 +25,7 @@ from .ideals import (
     residue_pow,
 )
 from .intfactor import FactorBudget, padic_valuation, primes_up_to
-from .qfield import BaseClass, QuadInt, classify_base
-
-
-class InvariantViolation(AssertionError):
-    """A machine-checked identity the library guarantees has failed."""
+from .qfield import BaseClass, InvariantViolation, QuadInt, classify_base
 
 
 def is_wieferich_place(P: PrimeIdeal, a: QuadInt) -> bool:
@@ -77,37 +73,6 @@ def place_report(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None) 
     return PlaceReport(P, a, P.norm, order, is_wieferich_place(P, a))
 
 
-def squarefree_powerful_split(n: int, a: QuadInt, budget: FactorBudget | None = None,
-                              cache: CycloFactorCache | None = None) -> Decomposition:
-    """Squarefree/powerful split of (a^n - 1) plus its level-n slice."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if classify_base(a) in (BaseClass.ZERO, BaseClass.ROOT_OF_UNITY):
-        raise ValueError("base must be neither zero nor of magnitude one")
-    return decompose(a, n, cache=cache, budget=budget)
-
-
-def nonwieferich_from_squarefree(n: int, a: QuadInt, budget: FactorBudget | None = None,
-                                 cache: CycloFactorCache | None = None) -> list[PlaceReport]:
-    """Every prime of the squarefree part of (a^n - 1), re-verified non-Wieferich.
-
-    An incomplete level is skipped entirely (empty list) rather than risking
-    a prime whose exponent the budget could not settle.
-    """
-    dec = squarefree_powerful_split(n, a, budget, cache)
-    if not dec.complete:
-        return []
-    reports = []
-    for P, _ in dec.squarefree.items_sorted():
-        report = place_report(P, a, budget)
-        if report.wieferich:
-            raise InvariantViolation(
-                f"{P.label()} divides the squarefree part of (a^{n} - 1) yet tested Wieferich"
-            )
-        reports.append(report)
-    return reports
-
-
 class FirstOccurrenceState:
     """Primes already seen in the level slices at multiples of the modulus k.
 
@@ -127,15 +92,12 @@ class FirstOccurrenceState:
         self.processed = 0
         self.incomplete_multipliers: list[int] = []
 
-    def _slice(self, m: int) -> Decomposition:
-        return decompose(self.a, self.k * m, cache=self.cache)
-
     def ingest(self, m: int) -> list[PrimeIdeal] | None:
         """Absorb level k*m; new primes in canonical order, None if incomplete."""
         if m != self.processed + 1:
             raise ValueError(f"levels must be ingested in order; expected {self.processed + 1}")
         self.processed = m
-        dec = self._slice(m)
+        dec = decompose(self.a, self.k * m, cache=self.cache)
         if not dec.complete:
             self.incomplete_multipliers.append(m)
             return None

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .intfactor import small_factors
+
 MODE_RATIONAL = "rational"
 MODE_IMAGINARY_QUADRATIC = "imaginary-quadratic"
 
@@ -25,15 +27,12 @@ class InexactDivisionError(ArithmeticError):
     """Requested ring quotient does not exist (divisor does not divide)."""
 
 
+class InvariantViolation(AssertionError):
+    """A machine-checked identity the library guarantees has failed."""
+
+
 def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 1
-    return True
+    return n >= 1 and all(e == 1 for e in small_factors(n).values())
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ import mpmath
 
 from .cyclo import (
     CycloFactorCache,
+    Decomposition,
     cyclotomic_eval,
-    decompose,
     divisors,
     euler_phi,
     mobius,
@@ -62,6 +62,22 @@ class BoundCheckReport:
         }
 
 
+def _report(tag: str, a: QuadInt, n_max: int) -> BoundCheckReport:
+    return BoundCheckReport(
+        tag=tag, parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max}
+    )
+
+
+def _sweep(a: QuadInt, n_max: int, budget: FactorBudget | None,
+           cache: CycloFactorCache | None) -> list[Decomposition]:
+    """Decompositions of levels 1..n_max from the given cache, or a fresh one."""
+    if cache is None:
+        cache = CycloFactorCache(a, budget)
+    elif cache.a != a:
+        raise ValueError("cache was built for a different base")
+    return cache.sweep(n_max)
+
+
 def check_upper_norm_bound(a: QuadInt, n_max: int) -> BoundCheckReport:
     """max(|Nm(a^n - 1)|, |Nm(a^n + 1)|) <= 2**deg * |Nm(a)|**n for n <= n_max.
 
@@ -73,10 +89,7 @@ def check_upper_norm_bound(a: QuadInt, n_max: int) -> BoundCheckReport:
         raise ValueError("bound needs every embedding at magnitude >= 1; zero fails")
     deg = a.field.degree
     base = a.abs_norm()
-    report = BoundCheckReport(
-        tag="upper-norm-bound",
-        parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max},
-    )
+    report = _report("upper-norm-bound", a, n_max)
     power = a.field.one()
     for n in range(1, n_max + 1):
         power = power * a
@@ -104,10 +117,7 @@ def check_cyclotomic_norm_lower_bound(a: QuadInt, n_max: int) -> BoundCheckRepor
         raise ValueError("lower bound needs every embedding at magnitude >= 2")
     deg = a.field.degree
     base = a.abs_norm()
-    report = BoundCheckReport(
-        tag="cyclotomic-norm-lower-bound",
-        parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max},
-    )
+    report = _report("cyclotomic-norm-lower-bound", a, n_max)
     for n in range(2, n_max + 1):
         lhs = base ** euler_phi(n)
         rhs = 2**deg * abs(cyclotomic_eval(n, a).norm())
@@ -183,19 +193,13 @@ def check_pairwise_coprime(a: QuadInt, n_max: int, budget: FactorBudget | None =
     For all complete levels m < n <= n_max the gcd of the two level
     squarefree slices must be the unit ideal.
     """
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
-    report = BoundCheckReport(
-        tag="pairwise-coprime-level-slices",
-        parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max},
-    )
+    report = _report("pairwise-coprime-level-slices", a, n_max)
     slices = {}
-    for n in range(1, n_max + 1):
-        dec = decompose(a, n, cache=cache)
+    for dec in _sweep(a, n_max, budget, cache):
         if not dec.complete:
-            report.skipped.append({"n": n, "reason": "incomplete factorization"})
+            report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
-        slices[n] = dec.level_squarefree
+        slices[dec.n] = dec.level_squarefree
     levels = sorted(slices)
     for i, m in enumerate(levels):
         for n in levels[i + 1 :]:
@@ -209,21 +213,15 @@ def check_pairwise_coprime(a: QuadInt, n_max: int, budget: FactorBudget | None =
 def check_squarefree_nonwieferich(a: QuadInt, n_max: int, budget: FactorBudget | None = None,
                                   cache: CycloFactorCache | None = None) -> BoundCheckReport:
     """Every prime of the squarefree part of (a^n - 1) tests non-Wieferich."""
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
-    report = BoundCheckReport(
-        tag="squarefree-places-nonwieferich",
-        parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max},
-    )
-    for n in range(1, n_max + 1):
-        dec = decompose(a, n, cache=cache)
+    report = _report("squarefree-places-nonwieferich", a, n_max)
+    for dec in _sweep(a, n_max, budget, cache):
         if not dec.complete:
-            report.skipped.append({"n": n, "reason": "incomplete factorization"})
+            report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
         for P, _ in dec.squarefree.items_sorted():
             report.checked += 1
             if is_wieferich_place(P, a):
-                report.violations.append({"n": n, "place": P.label()})
+                report.violations.append({"n": dec.n, "place": P.label()})
     return report
 
 
@@ -232,10 +230,7 @@ def check_order_consistency_range(a: QuadInt, n_max: int, budget: FactorBudget |
     """Order and norm congruences at every unramified level prime, n <= n_max."""
     if cache is None:
         cache = CycloFactorCache(a, budget)
-    report = BoundCheckReport(
-        tag="order-consistency",
-        parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max},
-    )
+    report = _report("order-consistency", a, n_max)
     for n in range(1, n_max + 1):
         level_report = order_consistency_check(n, a, budget=budget, cache=cache)
         if not level_report.complete:
@@ -296,12 +291,10 @@ def bound_trend_report(a: QuadInt, n_max: int, budget: FactorBudget | None = Non
     """Ratio series for the powerful, squarefree, and level-slice norms."""
     if classify_base(a) not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
         raise ValueError("trend report needs a base of magnitude above 1")
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
     report = TrendReport(a, n_max)
     log_base = math.log(a.abs_norm())
-    for n in range(1, n_max + 1):
-        dec = decompose(a, n, cache=cache)
+    for dec in _sweep(a, n_max, budget, cache):
+        n = dec.n
         if not dec.complete:
             report.skipped_levels.append(n)
             continue

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,22 @@ def run_cli(args, capsys):
 
 def parse_json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+def test_golden_outputs_byte_identical(capsys, monkeypatch):
+    """Exit code, stdout and stderr of fixed invocations, pinned byte for byte.
+
+    The cases cover the README examples, low-budget levels left incomplete,
+    a prime-level census, a small-base census and the decompose error paths.
+    """
+    monkeypatch.delenv(cli.ENV_TRIAL_LIMIT, raising=False)
+    monkeypatch.delenv(cli.ENV_RHO_ITERATIONS, raising=False)
+    for case in GOLDEN:
+        got = list(run_cli(list(case["argv"]), capsys))
+        assert got == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
 
 
 class TestFieldCommand:
@@ -136,6 +153,14 @@ class TestCensusCommand:
         assert code == 0
         assert silent == ""
         assert target.read_text() == out
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(["field", "-d", "1", "--output", str(target)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestVerifyCommand:

@@ -5,16 +5,22 @@ definition: divide x**n - 1 by the product of all lower-level cyclotomic
 polynomials, with naive integer polynomial long division.
 """
 
+import ast
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wieferich import cyclo
 from wieferich import (
     CycloFactorCache,
     FactorBudget,
     FieldSpec,
+    InvariantViolation,
+    check_pairwise_coprime,
+    check_squarefree_nonwieferich,
     cyclotomic_eval,
     cyclotomic_polynomial,
     decompose,
@@ -25,6 +31,7 @@ from wieferich import (
     power_minus_one,
     totient_density_constant,
 )
+from wieferich.verify import bound_trend_report
 
 
 def poly_mul(a, b):
@@ -228,3 +235,57 @@ class TestCacheAndDecompose:
         cache = CycloFactorCache(outlier, FactorBudget(trial_limit=10**3, rho_iterations=10))
         dec = decompose(outlier, 37, cache=cache)
         assert not dec.complete
+
+    def test_decompose_checks_level_and_base(self, base_2i, gauss_field):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            decompose(base_2i, 0)
+        with pytest.raises(ValueError, match="neither zero nor of magnitude one"):
+            decompose(gauss_field.element(0, 1), 3)
+
+
+class TestSweep:
+    def test_levels_are_built_once(self, base_2i):
+        cache = CycloFactorCache(base_2i)
+        longer = cache.sweep(12)
+        shorter = cache.sweep(10)
+        assert [dec.n for dec in longer] == list(range(1, 13))
+        assert len(shorter) == 10
+        assert all(shorter[i] is longer[i] for i in range(10))
+        assert cache.sweep(12)[11] is longer[11]
+        assert cache.sweep(0) == cache.sweep(-3) == []
+
+    def test_checks_share_one_sweep(self, base_2i, monkeypatch):
+        calls = []
+        original = cyclo.decompose
+
+        def counting(a, n, *args, **kwargs):
+            calls.append(n)
+            return original(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(cyclo, "decompose", counting)
+        cache = CycloFactorCache(base_2i)
+        assert check_pairwise_coprime(base_2i, 10, cache=cache).passed
+        assert calls == list(range(1, 11))
+        assert check_squarefree_nonwieferich(base_2i, 10, cache=cache).passed
+        assert check_pairwise_coprime(base_2i, 10, cache=cache).passed
+        assert not bound_trend_report(base_2i, 10, cache=cache).identity_violations
+        assert calls == list(range(1, 11))
+
+    def test_rejects_cache_of_another_base(self, base_2i, gauss_field):
+        other = CycloFactorCache(gauss_field.element(1, 2))
+        with pytest.raises(ValueError, match="different base"):
+            check_pairwise_coprime(base_2i, 4, cache=other)
+
+
+class TestInvariants:
+    def test_inexact_polynomial_division_raises(self):
+        # x^2 + 1 over x - 1 leaves remainder 2, even under python -O
+        with pytest.raises(InvariantViolation):
+            cyclo._poly_exact_div([1, 0, 1], (-1, 1))
+
+    def test_no_assert_statements_in_package(self):
+        package = Path(cyclo.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert not asserts, (path.name, asserts)

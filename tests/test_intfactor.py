@@ -9,6 +9,7 @@ from wieferich.intfactor import (
     padic_valuation,
     perfect_power,
     primes_up_to,
+    small_factors,
 )
 
 
@@ -68,6 +69,20 @@ class TestHelpers:
         v = padic_valuation(n, p)
         assert n % p**v == 0
         assert n % p ** (v + 1) != 0
+
+    @given(st.integers(min_value=1, max_value=10**6))
+    def test_small_factors_match_naive(self, n):
+        factors = small_factors(n)
+        product = 1
+        for p, e in factors.items():
+            assert naive_prime(p)
+            product *= p**e
+        assert product == n
+        assert factors == naive_factor(n)
+
+    def test_small_factors_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            small_factors(0)
 
     def test_perfect_power(self):
         assert perfect_power(1024) == (2, 10)

@@ -13,16 +13,16 @@ from wieferich import (
     KIND_SPLIT,
     STRATEGY_PRIME_LEVELS,
     census,
+    check_squarefree_nonwieferich,
+    decompose,
     element_valuation,
     is_wieferich_place,
     new_prime_for,
-    nonwieferich_from_squarefree,
     order_consistency_check,
     place_report,
     prime_above_of_kind,
     primes_above,
     scan_wieferich_places,
-    squarefree_powerful_split,
 )
 from wieferich.intfactor import padic_valuation
 from wieferich.places import CensusResult
@@ -90,26 +90,30 @@ class TestWieferichTest:
 
 class TestSquarefreeRoute:
     def test_split_example(self, base_2i, cache_2i):
-        dec = squarefree_powerful_split(2, base_2i, cache=cache_2i)
+        dec = decompose(base_2i, 2, cache=cache_2i)
         assert [(P.label(), e) for P, e in dec.squarefree.items_sorted()] == [("(5,split,2)", 1)]
 
     def test_squarefree_places_are_nonwieferich(self, base_2i, cache_2i):
+        report = check_squarefree_nonwieferich(base_2i, 12, cache=cache_2i)
+        assert report.passed
+        assert not report.skipped
         for n in (2, 3, 5, 8, 12):
-            reports = nonwieferich_from_squarefree(n, base_2i, cache=cache_2i)
-            assert reports, n
-            for report in reports:
-                assert report.wieferich is False
-                diff = base_2i ** (report.norm - 1) - base_2i.field.one()
-                assert element_valuation(report.place, diff) == 1
+            squarefree = decompose(base_2i, n, cache=cache_2i).squarefree.items_sorted()
+            assert squarefree, n
+            for P, _ in squarefree:
+                assert is_wieferich_place(P, base_2i) is False
+                diff = base_2i ** (P.norm - 1) - base_2i.field.one()
+                assert element_valuation(P, diff) == 1
 
     def test_rejects_degenerate_base(self, gauss_field):
         with pytest.raises(ValueError):
-            squarefree_powerful_split(3, gauss_field.element(0, 1))
+            decompose(gauss_field.element(0, 1), 3)
 
-    def test_incomplete_returns_empty(self, d2_field):
+    def test_incomplete_level_is_skipped(self, d2_field):
         outlier = d2_field.element(2, 1)
         cache = CycloFactorCache(outlier, FactorBudget(trial_limit=10**3, rho_iterations=10))
-        assert nonwieferich_from_squarefree(37, outlier, cache=cache) == []
+        report = check_squarefree_nonwieferich(outlier, 37, cache=cache)
+        assert 37 in [entry["n"] for entry in report.skipped]
 
 
 class TestFirstOccurrence:
@@ -246,7 +250,7 @@ class TestOrderConsistency:
         from wieferich import residue_order
 
         for n in (6, 10, 12, 18):
-            dec = squarefree_powerful_split(n, base_2i, cache=cache_2i)
+            dec = decompose(base_2i, n, cache=cache_2i)
             for P, _ in dec.level_ideal.items_sorted():
                 if P.kind == "ramified":
                     continue

@@ -5,6 +5,8 @@ u + v*sqrt(-d) with u, v integers or half-integers (2u, 2v stored), a
 representation independent of the omega basis used by the package.
 """
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,11 @@ class TestFieldSpec:
         assert [n for n in range(1, 20) if is_squarefree(n)] == [
             1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19,
         ]
+
+    def test_is_squarefree_matches_naive(self):
+        for n in range(-2, 2001):
+            naive = n >= 1 and all(n % (f * f) for f in range(2, isqrt(n) + 1))
+            assert is_squarefree(n) == naive, n
 
 
 class TestArithmetic:
