@@ -131,8 +131,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _json_lines(objects) -> str:
-    return "".join(json.dumps(obj) + "\n" for obj in objects)
+def _render(fmt: str, rows: list[dict], columns: list[str], summary: dict | None = None) -> str:
+    """CSV of the given columns (None cells empty), or one JSON line per row plus the summary."""
+    if fmt == "csv":
+        return _csv_text(columns, [[row.get(c) for c in columns] for row in rows])
+    lines = rows if summary is None else rows + [{"summary": summary}]
+    return "".join(json.dumps(obj) + "\n" for obj in lines)
+
+
+_PLACE_COLUMNS = ["p", "kind", "t", "norm", "order", "wieferich"]
 
 
 def _cmd_field(args) -> tuple[str, int]:
@@ -148,55 +155,30 @@ def _cmd_classify(args) -> tuple[str, int]:
     spec = FieldSpec.from_d(args.d)
     base = spec.parse_element(args.a)
     budget = _budget_from(args)
-    header = ["p", "kind", "t", "norm", "order", "wieferich"]
     if args.prime is not None and args.p_max is not None:
         raise ValueError("choose either --prime or --p-max, not both")
     if args.prime is not None:
-        rows, lines = [], []
+        rows = []
         for P in primes_above(spec, args.prime):
-            t_cell = "" if P.t is None else P.t
             try:
-                r = place_report(P, base, budget)
+                rows.append(place_report(P, base, budget).as_dict())
             except ValueError:
                 # the base lies in this place, so the Fermat quotient is degenerate
-                rows.append([P.p, P.kind, t_cell, P.norm, "", ""])
-                lines.append({"place": P.label(), "p": P.p, "kind": P.kind, "t": P.t,
-                              "norm": P.norm, "order": None, "wieferich": None,
-                              "note": "base lies in this place"})
-                continue
-            rows.append([P.p, P.kind, t_cell, r.norm,
-                         "" if r.order is None else r.order, r.wieferich])
-            lines.append(r.as_dict())
-        if args.format == "csv":
-            return _csv_text(header, rows), EXIT_OK
-        return _json_lines(lines), EXIT_OK
+                rows.append({"place": P.label(), "p": P.p, "kind": P.kind, "t": P.t,
+                             "norm": P.norm, "order": None, "wieferich": None,
+                             "note": "base lies in this place"})
+        return _render(args.format, rows, _PLACE_COLUMNS), EXIT_OK
     if args.p_max is not None:
         hits, tested = scan_wieferich_places(base, args.p_max, budget)
-        if args.format == "csv":
-            rows = [[r.place.p, r.place.kind, "" if r.place.t is None else r.place.t,
-                     r.norm, "" if r.order is None else r.order, r.wieferich]
-                    for r in hits]
-            return _csv_text(header, rows), EXIT_OK
-        lines = [r.as_dict() for r in hits]
-        lines.append({"summary": {"tested": tested, "wieferich_count": len(hits)}})
-        return _json_lines(lines), EXIT_OK
+        summary = {"tested": tested, "wieferich_count": len(hits)}
+        return _render(args.format, [r.as_dict() for r in hits], _PLACE_COLUMNS, summary), EXIT_OK
     info = {
         "base": base.coords(),
         "field": str(spec),
         "classification": classify_base(base).value,
         "norm": base.norm(),
     }
-    if args.format == "csv":
-        keys = ["base", "field", "classification", "norm"]
-        return _csv_text(keys, [[info[k] for k in keys]]), EXIT_OK
-    return json.dumps(info) + "\n", EXIT_OK
-
-
-def _ideal_rows(part: str, factorization) -> list[list]:
-    rows = []
-    for P, e in factorization.items_sorted():
-        rows.append([part, P.p, P.kind, "" if P.t is None else P.t, P.norm, e])
-    return rows
+    return _render(args.format, [info], list(info)), EXIT_OK
 
 
 def _cmd_decompose(args) -> tuple[str, int]:
@@ -204,24 +186,22 @@ def _cmd_decompose(args) -> tuple[str, int]:
     base = spec.parse_element(args.a)
     dec = decompose(base, args.n, budget=_budget_from(args))
     parts = {
-        "squarefree": dec.squarefree,
-        "powerful": dec.powerful,
-        "level_squarefree": dec.level_squarefree,
-        "level_powerful": dec.level_powerful,
+        name: [{"p": P.p, "kind": P.kind, "t": P.t, "norm": P.norm, "exponent": e}
+               for P, e in factorization.items_sorted()]
+        for name, factorization in (
+            ("squarefree", dec.squarefree),
+            ("powerful", dec.powerful),
+            ("level_squarefree", dec.level_squarefree),
+            ("level_powerful", dec.level_powerful),
+        )
     }
     if args.format == "csv":
-        rows = []
-        for name, factorization in parts.items():
-            rows.extend(_ideal_rows(name, factorization))
-        return _csv_text(["part", "p", "kind", "t", "norm", "exponent"], rows), EXIT_OK
+        rows = [{"part": name, **entry} for name, entries in parts.items() for entry in entries]
+        return _render("csv", rows, ["part", "p", "kind", "t", "norm", "exponent"]), EXIT_OK
     payload = dec.norm_summary()
     payload["base"] = base.coords()
     payload["field"] = str(spec)
-    for name, factorization in parts.items():
-        payload[name] = [
-            {"p": P.p, "kind": P.kind, "t": P.t, "norm": P.norm, "exponent": e}
-            for P, e in factorization.items_sorted()
-        ]
+    payload.update(parts)
     return json.dumps(payload) + "\n", EXIT_OK
 
 
@@ -229,20 +209,13 @@ def _cmd_census(args) -> tuple[str, int]:
     spec = FieldSpec.from_d(args.d)
     base = spec.parse_element(args.a)
     result = census(base, args.k, args.n_max, _budget_from(args), strategy=args.strategy)
-    if args.format == "csv":
-        rows = [
-            [r.place.p, r.place.kind, "" if r.place.t is None else r.place.t,
-             r.norm, r.discovered_at_level, r.residue_class]
-            for r in result.records
-        ]
-        return _csv_text(["p", "kind", "t", "norm", "level", "residue_class"], rows), EXIT_OK
     summary = result.summary()
     if args.x_max is not None:
         summary["x_max"] = args.x_max
         summary["count_at_x_max"] = result.count_upto(args.x_max)
-    lines = [r.as_dict() for r in result.records]
-    lines.append({"summary": summary})
-    return _json_lines(lines), EXIT_OK
+    rows = [r.as_dict() for r in result.records]
+    columns = ["p", "kind", "t", "norm", "level", "residue_class"]
+    return _render(args.format, rows, columns, summary), EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -263,29 +236,20 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _cmd_exceptions(args) -> tuple[str, int]:
     union = exception_set_union(args.d_max)
-    entries = [
+    rows = [
         {"d": d, "x": e.x, "y": e.y, "norm": e.norm(), "element": str(e)}
         for d, e in union
     ]
-    if args.format == "csv":
-        rows = [[entry["d"], entry["x"], entry["y"], entry["norm"], entry["element"]]
-                for entry in entries]
-        return _csv_text(["d", "x", "y", "norm", "element"], rows), EXIT_OK
-    lines = list(entries)
-    lines.append({"summary": {"count": len(entries), "d_max": args.d_max}})
-    return _json_lines(lines), EXIT_OK
+    summary = {"count": len(rows), "d_max": args.d_max}
+    return _render(args.format, rows, ["d", "x", "y", "norm", "element"], summary), EXIT_OK
 
 
 def _cmd_quality(args) -> tuple[str, int]:
     spec = FieldSpec.from_d(args.d)
     alpha = spec.parse_element(args.alpha)
     beta = spec.parse_element(args.beta)
-    report = abc_quality(alpha, beta, _budget_from(args))
-    payload = report.as_dict()
-    if args.format == "csv":
-        keys = ["alpha", "beta", "max_norm", "radical_product", "height", "conductor", "quality"]
-        return _csv_text(keys, [[payload[k] for k in keys]]), EXIT_OK
-    return json.dumps(payload) + "\n", EXIT_OK
+    payload = abc_quality(alpha, beta, _budget_from(args)).as_dict()
+    return _render(args.format, [payload], list(payload)), EXIT_OK
 
 
 _HANDLERS = {

@@ -24,7 +24,7 @@ from .ideals import (
     residue_order,
     residue_pow,
 )
-from .intfactor import FactorBudget, padic_valuation, primes_up_to
+from .intfactor import FactorBudget, primes_up_to
 from .qfield import BaseClass, InvariantViolation, QuadInt, classify_base
 
 
@@ -282,74 +282,6 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
                 )
             result.records.append(CensusRecord(P, level, P.norm, P.norm % k))
     return result
-
-
-@dataclass(frozen=True)
-class OrderConsistencyReport:
-    """Outcome of checking order = n / p**v_p(n) at every unramified level prime."""
-
-    n: int
-    base: QuadInt
-    complete: bool
-    checked: tuple[dict, ...]
-    excluded_ramified: tuple[str, ...]
-    order_unresolved: tuple[str, ...]
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def order_consistency_check(n: int, a: QuadInt, budget: FactorBudget | None = None,
-                            cache: CycloFactorCache | None = None) -> OrderConsistencyReport:
-    """At each unramified prime of the level-n value, the order of the base is
-    n stripped of its residue-characteristic part, and the norm is 1 modulo
-    that.  Ramified primes are listed as excluded, not checked."""
-    if n < 1:
-        raise ValueError("level must be >= 1")
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
-    level = cache.level(n)
-    checked: list[dict] = []
-    excluded: list[str] = []
-    unresolved: list[str] = []
-    violations: list[str] = []
-    if level.complete:
-        for P, _ in level.ideal.items_sorted():
-            if P.kind == KIND_RAMIFIED:
-                excluded.append(P.label())
-                continue
-            expected = n // P.p ** padic_valuation(n, P.p)
-            try:
-                order = residue_order(P, a, budget)
-            except BudgetExhausted:
-                unresolved.append(P.label())
-                continue
-            entry = {
-                "place": P.label(),
-                "norm": P.norm,
-                "expected_order": expected,
-                "order": order,
-            }
-            checked.append(entry)
-            if order != expected:
-                violations.append(
-                    f"{P.label()}: order {order} != expected {expected} at level {n}"
-                )
-            elif (P.norm - 1) % expected:
-                violations.append(
-                    f"{P.label()}: norm {P.norm} is not 1 mod {expected}"
-                )
-    return OrderConsistencyReport(
-        n=n,
-        base=a,
-        complete=level.complete,
-        checked=tuple(checked),
-        excluded_ramified=tuple(excluded),
-        order_unresolved=tuple(unresolved),
-        violations=tuple(violations),
-    )
 
 
 def scan_wieferich_places(a: QuadInt, p_bound: int,

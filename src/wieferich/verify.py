@@ -23,9 +23,9 @@ from .cyclo import (
     euler_phi,
     mobius,
 )
-from .ideals import BudgetExhausted, factor_principal
-from .intfactor import FactorBudget
-from .places import is_wieferich_place, order_consistency_check
+from .ideals import KIND_RAMIFIED, BudgetExhausted, factor_principal, residue_order
+from .intfactor import FactorBudget, padic_valuation
+from .places import is_wieferich_place
 from .qfield import BaseClass, FieldSpec, QuadInt, classify_base, is_squarefree
 
 _SANDWICH_PRECISIONS = (64, 128, 256, 512)
@@ -227,19 +227,31 @@ def check_squarefree_nonwieferich(a: QuadInt, n_max: int, budget: FactorBudget |
 
 def check_order_consistency_range(a: QuadInt, n_max: int, budget: FactorBudget | None = None,
                                   cache: CycloFactorCache | None = None) -> BoundCheckReport:
-    """Order and norm congruences at every unramified level prime, n <= n_max."""
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
+    """At each unramified prime of a level value, n <= n_max, the order of the
+    base is n stripped of its residue-characteristic part, and the norm is 1
+    modulo that.  Ramified primes are passed over."""
     report = _report("order-consistency", a, n_max)
-    for n in range(1, n_max + 1):
-        level_report = order_consistency_check(n, a, budget=budget, cache=cache)
-        if not level_report.complete:
+    for dec in _sweep(a, n_max, budget, cache):
+        n = dec.n
+        if not dec.level_ideal.complete:
             report.skipped.append({"n": n, "reason": "incomplete factorization"})
             continue
-        report.checked += len(level_report.checked)
-        for label in level_report.order_unresolved:
-            report.skipped.append({"n": n, "place": label, "reason": "order unresolved"})
-        report.violations.extend({"n": n, "detail": v} for v in level_report.violations)
+        for P, _ in dec.level_ideal.items_sorted():
+            if P.kind == KIND_RAMIFIED:
+                continue
+            expected = n // P.p ** padic_valuation(n, P.p)
+            try:
+                order = residue_order(P, a, budget)
+            except BudgetExhausted:
+                report.skipped.append({"n": n, "place": P.label(), "reason": "order unresolved"})
+                continue
+            report.checked += 1
+            if order != expected:
+                detail = f"{P.label()}: order {order} != expected {expected} at level {n}"
+                report.violations.append({"n": n, "detail": detail})
+            elif (P.norm - 1) % expected:
+                detail = f"{P.label()}: norm {P.norm} is not 1 mod {expected}"
+                report.violations.append({"n": n, "detail": detail})
     return report
 
 
@@ -482,6 +494,8 @@ def run_full_verification(a: QuadInt, n_max: int,
     bucket = classify_base(a)
     if bucket in (BaseClass.ZERO, BaseClass.ROOT_OF_UNITY):
         raise ValueError("verification sweeps need a base of magnitude above 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     cache = CycloFactorCache(a, budget)
     result = FullVerification(a, n_max)
     result.reports.append(check_upper_norm_bound(a, n_max))

@@ -29,7 +29,9 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
     """Exit code, stdout and stderr of fixed invocations, pinned byte for byte.
 
     The cases cover the README examples, low-budget levels left incomplete,
-    a prime-level census, a small-base census and the decompose error paths.
+    a prime-level census, a small-base census, the decompose error paths and
+    the CSV tables of classify (including a place the base lies in), decompose,
+    quality and field.
     """
     monkeypatch.delenv(cli.ENV_TRIAL_LIMIT, raising=False)
     monkeypatch.delenv(cli.ENV_RHO_ITERATIONS, raising=False)
@@ -183,6 +185,14 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "-d", "1", "-a", "2,1", "--n-max", "2"], capsys)
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+    def test_empty_level_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "-d", "1", "-a", "2,1", "--n-max", "0", "--format", "csv"], capsys
+        )
+        assert code == 1
+        assert err == "error: n_max must be >= 1\n"
+        assert out == ""
 
 
 class TestExceptionsCommand:

@@ -13,12 +13,12 @@ from wieferich import (
     KIND_SPLIT,
     STRATEGY_PRIME_LEVELS,
     census,
+    check_order_consistency_range,
     check_squarefree_nonwieferich,
     decompose,
     element_valuation,
     is_wieferich_place,
     new_prime_for,
-    order_consistency_check,
     place_report,
     prime_above_of_kind,
     primes_above,
@@ -237,13 +237,10 @@ class TestCensus:
 
 class TestOrderConsistency:
     def test_known_level(self, base_2i, cache_2i):
-        report = order_consistency_check(12, base_2i, cache=cache_2i)
-        assert report.complete
+        report = check_order_consistency_range(base_2i, 12, cache=cache_2i)
         assert report.passed
-        assert len(report.checked) >= 1
-        for entry in report.checked:
-            assert entry["order"] == entry["expected_order"]
-        assert not report.violations
+        assert report.skipped == []
+        assert report.checked > check_order_consistency_range(base_2i, 11, cache=cache_2i).checked
 
     def test_expected_order_formula(self, base_2i, cache_2i):
         # every unramified prime of the level ideal has order n / p**v_p(n)
@@ -261,9 +258,9 @@ class TestOrderConsistency:
     def test_incomplete_checks_nothing(self, d2_field):
         outlier = d2_field.element(2, 1)
         cache = CycloFactorCache(outlier, FactorBudget(trial_limit=10**3, rho_iterations=10))
-        report = order_consistency_check(37, outlier, cache=cache)
-        assert not report.complete
-        assert report.checked == ()
+        report = check_order_consistency_range(outlier, 37, cache=cache)
+        assert {"n": 37, "reason": "incomplete factorization"} in report.skipped
+        assert report.checked == check_order_consistency_range(outlier, 36, cache=cache).checked
 
 
 class TestInertRationalCorrespondence:

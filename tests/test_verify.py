@@ -104,6 +104,11 @@ class TestBoundChecks:
         report = check_order_consistency_range(base_2i, 12, cache=cache_2i)
         assert report.passed
 
+    def test_order_consistency_rejects_cache_of_another_base(self, base_2i, gauss_field):
+        other = CycloFactorCache(gauss_field.element(3, 2))
+        with pytest.raises(ValueError, match="cache was built for a different base"):
+            check_order_consistency_range(base_2i, 6, cache=other)
+
     def test_report_serialization(self, base_2i):
         report = check_upper_norm_bound(base_2i, 5)
         payload = report.as_dict()
@@ -241,3 +246,7 @@ class TestFullVerification:
         tags = [r.tag for r in outcome.reports]
         assert "cyclotomic-norm-lower-bound" not in tags
         assert outcome.passed
+
+    def test_rejects_empty_level_range(self, base_2i):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            run_full_verification(base_2i, 0)
