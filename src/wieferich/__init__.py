@@ -18,7 +18,6 @@ from .cyclo import (
     euler_phi,
     high_totient_count,
     mobius,
-    power_minus_one,
     totient_density_constant,
 )
 from .ideals import (
@@ -31,7 +30,6 @@ from .ideals import (
     PrimeIdeal,
     element_valuation,
     factor_principal,
-    prime_above_of_kind,
     primes_above,
     residue_identity,
     residue_order,
@@ -42,14 +40,12 @@ from .intfactor import FactorBudget, FactorResult, certify_prime, factorize, is_
 from .places import (
     CensusRecord,
     CensusResult,
-    FirstOccurrenceState,
     InvariantViolation,
     PlaceReport,
     STRATEGY_ALL_LEVELS,
     STRATEGY_PRIME_LEVELS,
     census,
     is_wieferich_place,
-    new_prime_for,
     place_report,
     scan_wieferich_places,
 )
@@ -81,7 +77,6 @@ __all__ = [
     "FactorBudget",
     "FactorResult",
     "FieldSpec",
-    "FirstOccurrenceState",
     "FullVerification",
     "IdealFactorization",
     "InexactDivisionError",
@@ -121,10 +116,7 @@ __all__ = [
     "is_squarefree",
     "is_wieferich_place",
     "mobius",
-    "new_prime_for",
     "place_report",
-    "power_minus_one",
-    "prime_above_of_kind",
     "primes_above",
     "residue_identity",
     "residue_order",

@@ -145,10 +145,6 @@ def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:
     return numerator.exact_div(denominator)
 
 
-def power_minus_one(a: QuadInt, n: int) -> QuadInt:
-    return a**n - 1
-
-
 @dataclass(frozen=True)
 class LevelData:
     """One cyclotomic level: the value Phi_n(a) and its ideal factorization."""
@@ -255,7 +251,7 @@ def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
     return Decomposition(
         a=a,
         n=n,
-        power_value=power_minus_one(a, n),
+        power_value=a**n - 1,
         power_ideal=power_ideal,
         level_value=level.value,
         level_ideal=level.ideal,

@@ -145,14 +145,6 @@ def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     return (PrimeIdeal(field, p, KIND_INERT),)
 
 
-def prime_above_of_kind(field: FieldSpec, p: int, kind: str, t: int | None = None) -> PrimeIdeal:
-    """Look up the prime (p, kind, t), validating it against the actual splitting."""
-    for candidate in primes_above(field, p):
-        if candidate.kind == kind and (t is None or candidate.t == t):
-            return candidate
-    raise ValueError(f"no prime ({p},{kind},{t}) in {field}")
-
-
 @lru_cache(maxsize=None)
 def _lifted_root(field: FieldSpec, p: int, t: int, precision: int) -> int:
     """Newton-lift the simple root t of x^2 - trace*x + norm mod p to mod p**precision."""

@@ -73,64 +73,6 @@ def place_report(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None) 
     return PlaceReport(P, a, P.norm, order, is_wieferich_place(P, a))
 
 
-class FirstOccurrenceState:
-    """Primes already seen in the level slices at multiples of the modulus k.
-
-    Levels are ingested in increasing multiplier order; a level whose
-    factorization is incomplete is logged and contributes nothing, so a prime
-    hiding there may legitimately resurface later.
-    """
-
-    def __init__(self, a: QuadInt, k: int, budget: FactorBudget | None = None,
-                 cache: CycloFactorCache | None = None):
-        if k < 1:
-            raise ValueError("progression modulus must be >= 1")
-        self.a = a
-        self.k = k
-        self.cache = cache if cache is not None else CycloFactorCache(a, budget)
-        self.seen: set[PrimeIdeal] = set()
-        self.processed = 0
-        self.incomplete_multipliers: list[int] = []
-
-    def ingest(self, m: int) -> list[PrimeIdeal] | None:
-        """Absorb level k*m; new primes in canonical order, None if incomplete."""
-        if m != self.processed + 1:
-            raise ValueError(f"levels must be ingested in order; expected {self.processed + 1}")
-        self.processed = m
-        dec = decompose(self.a, self.k * m, cache=self.cache)
-        if not dec.complete:
-            self.incomplete_multipliers.append(m)
-            return None
-        fresh = [P for P, _ in dec.level_squarefree.items_sorted() if P not in self.seen]
-        self.seen.update(fresh)
-        return fresh
-
-    def advance(self, m_target: int) -> None:
-        while self.processed < m_target:
-            self.ingest(self.processed + 1)
-
-
-def new_prime_for(k: int, q: int, a: QuadInt, state: FirstOccurrenceState | None = None,
-                  budget: FactorBudget | None = None) -> PrimeIdeal | None:
-    """First prime of the level-(k*q) slice unseen at any smaller multiple of k.
-
-    Returns None when the level's slice brings nothing new or its
-    factorization was incomplete (logged on the state).  Consecutive calls
-    with growing q against the same state yield pairwise distinct primes.
-    """
-    if state is None:
-        state = FirstOccurrenceState(a, k, budget=budget)
-    if state.a != a or state.k != k:
-        raise ValueError("state was built for a different base or modulus")
-    if q <= state.processed:
-        raise ValueError(f"state already advanced past level multiplier {q}")
-    state.advance(q - 1)
-    fresh = state.ingest(q)
-    if not fresh:
-        return None
-    return fresh[0]
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     """A first-occurrence non-Wieferich place found by the progression census."""
@@ -222,9 +164,11 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
            cache: CycloFactorCache | None = None) -> CensusResult:
     """Count non-Wieferich places with norm in the class 1 mod k, by level sweep.
 
-    Levels k*m for multipliers m up to n_max (all m, or prime m only under
-    the prime-levels strategy) are decomposed; first-occurrence primes of the
-    squarefree level slices become records once they pass the unramified and
+    Levels k*m are decomposed in increasing order for m up to n_max, or up to
+    the largest prime m <= n_max under the prime-levels strategy, where only
+    prime m give records and skipped levels.  A prime of a complete level's
+    squarefree slice is new when no smaller complete level held it; new primes
+    at recorded levels become records once they pass the unramified and
     residue-characteristic filters.  Exclusions and skipped levels are logged,
     and each record is re-verified non-Wieferich on the way out.
     """
@@ -238,25 +182,34 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
         raise ValueError(f"unknown census strategy {strategy!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if k < 1:
+        raise ValueError("progression modulus must be >= 1")
     result = CensusResult(a, k, n_max, strategy)
     if bucket is BaseClass.SMALL:
         result.warnings.append(
             "base magnitude squared is below 4; the logarithmic growth guarantee "
             "needs every embedding at magnitude 2 or more"
         )
+    if cache is None:
+        cache = CycloFactorCache(a, budget)
     if strategy == STRATEGY_PRIME_LEVELS:
-        multipliers = [m for m in primes_up_to(n_max)]
+        record_at = set(primes_up_to(n_max))
     else:
-        multipliers = list(range(1, n_max + 1))
-    state = FirstOccurrenceState(a, k, budget=budget, cache=cache)
-    for m in multipliers:
-        state.advance(m - 1)
-        fresh = state.ingest(m)
-        if fresh is None:
-            result.skipped_levels.append(k * m)
+        record_at = set(range(1, n_max + 1))
+    seen: set[PrimeIdeal] = set()
+    for m in range(1, max(record_at, default=0) + 1):
+        level = k * m
+        dec = decompose(a, level, cache=cache)
+        recorded = m in record_at
+        if not dec.complete:
+            if recorded:
+                result.skipped_levels.append(level)
+            continue
+        fresh = [P for P, _ in dec.level_squarefree.items_sorted() if P not in seen]
+        seen.update(fresh)
+        if not recorded:
             continue
         result.complete_multipliers.append(m)
-        level = k * m
         for P in fresh:
             if P.kind == KIND_RAMIFIED:
                 result.excluded.append(
@@ -294,9 +247,11 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
     tested = 0
     for p in primes_up_to(p_bound):
         for P in primes_above(a.field, p):
-            if not is_unit_mod(P, a):
-                continue
+            try:
+                wieferich = is_wieferich_place(P, a)
+            except ValueError:
+                continue  # the base lies in this place
             tested += 1
-            if is_wieferich_place(P, a):
+            if wieferich:
                 hits.append(place_report(P, a, budget))
     return hits, tested

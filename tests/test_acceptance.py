@@ -12,7 +12,7 @@ import pytest
 from wieferich import (
     CycloFactorCache,
     FieldSpec,
-    FirstOccurrenceState,
+    STRATEGY_PRIME_LEVELS,
     census,
     check_cyclotomic_norm_lower_bound,
     check_order_consistency_range,
@@ -24,14 +24,11 @@ from wieferich import (
     element_valuation,
     exception_set_union,
     high_totient_count,
-    new_prime_for,
     primes_above,
     scan_wieferich_places,
 )
 from wieferich.qfield import BaseClass
 from wieferich.verify import bound_trend_report
-
-PRIMES_TO_37 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -178,10 +175,11 @@ def test_criterion_08_distinct_new_primes_and_log_growth(sweep):
     ok = True
     details = []
     for k in (1, 3):
-        state = FirstOccurrenceState(a, k, cache=cache)
-        got = {q: new_prime_for(k, q, a, state) for q in PRIMES_TO_37}
-        incomplete = set(state.incomplete_multipliers)
-        complete_hits = [P for q, P in got.items() if q not in incomplete]
+        primes_only = census(a, k, 37, strategy=STRATEGY_PRIME_LEVELS, cache=cache)
+        first = {}
+        for r in primes_only.records:
+            first.setdefault(r.discovered_at_level, r.place)
+        complete_hits = [first.get(k * q) for q in primes_only.complete_multipliers]
         distinct = len({P.label() for P in complete_hits if P is not None})
         all_fresh = all(P is not None for P in complete_hits)
         pairwise_distinct = distinct == len(complete_hits)

@@ -20,7 +20,6 @@ from wieferich import (
     KIND_SPLIT,
     element_valuation,
     factor_principal,
-    prime_above_of_kind,
     primes_above,
     residue_identity,
     residue_order,
@@ -89,18 +88,22 @@ class TestSplitting:
         assert primes_above(F3, 2)[0].kind == KIND_INERT
 
     def test_norm_and_degree(self, gauss_field):
-        split = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 2)
-        inert = prime_above_of_kind(gauss_field, 3, KIND_INERT)
-        ram = prime_above_of_kind(gauss_field, 2, KIND_RAMIFIED)
+        split = primes_above(gauss_field, 5)[0]
+        (inert,) = primes_above(gauss_field, 3)
+        (ram,) = primes_above(gauss_field, 2)
+        assert (split.kind, split.t) == (KIND_SPLIT, 2)
+        assert (inert.kind, ram.kind) == (KIND_INERT, KIND_RAMIFIED)
         assert (split.norm, split.residue_degree, split.ramification_index) == (5, 1, 1)
         assert (inert.norm, inert.residue_degree, inert.ramification_index) == (9, 2, 1)
         assert (ram.norm, ram.residue_degree, ram.ramification_index) == (2, 1, 2)
 
     def test_conjugate(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 2)
+        P = primes_above(gauss_field, 5)[0]
+        assert (P.kind, P.t) == (KIND_SPLIT, 2)
         assert P.conjugate().t == 3
         assert P.conjugate().conjugate() == P
-        inert = prime_above_of_kind(gauss_field, 3, KIND_INERT)
+        (inert,) = primes_above(gauss_field, 3)
+        assert inert.kind == KIND_INERT
         assert inert.conjugate() == inert
 
     def test_rational_kind(self, rational_field):
@@ -111,10 +114,6 @@ class TestSplitting:
     def test_rejects_composite(self, gauss_field):
         with pytest.raises(ValueError):
             primes_above(gauss_field, 6)
-        with pytest.raises(ValueError):
-            prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 1)  # 1 is not a root
-        with pytest.raises(ValueError):
-            prime_above_of_kind(gauss_field, 5, KIND_INERT)  # 5 splits
 
 
 class TestModularHelpers:
@@ -129,7 +128,8 @@ class TestModularHelpers:
                 assert legendre_symbol(n, p) == -1
 
     def test_lifted_root_satisfies_poly(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 2)
+        P = primes_above(gauss_field, 5)[0]
+        assert (P.kind, P.t) == (KIND_SPLIT, 2)
         assert lifted_root(P, 2) == 7
         for prec in range(1, 8):
             t = lifted_root(P, prec)
@@ -151,13 +151,15 @@ class TestModularHelpers:
 
 class TestValuations:
     def test_ramified_power(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 2, KIND_RAMIFIED)
+        (P,) = primes_above(gauss_field, 2)
+        assert P.kind == KIND_RAMIFIED
         gamma = gauss_field.element(1, 1) ** 5
         assert element_valuation(P, gamma) == 5
         assert element_valuation(P, gauss_field.element(2, 0)) == 2
 
     def test_split_constructed(self, gauss_field):
-        P3 = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 3)  # contains 2+i
+        P3 = primes_above(gauss_field, 5)[1]  # contains 2+i
+        assert (P3.kind, P3.t) == (KIND_SPLIT, 3)
         P2 = P3.conjugate()
         gamma = gauss_field.element(2, 1) ** 3 * gauss_field.element(2, -1) ** 2
         assert element_valuation(P3, gamma) == 3
@@ -199,7 +201,8 @@ class TestValuations:
 
 class TestResidues:
     def test_split_reduction_is_root_substitution(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 2)
+        P = primes_above(gauss_field, 5)[0]
+        assert (P.kind, P.t) == (KIND_SPLIT, 2)
         a = gauss_field.element(2, 1)
         assert residue_reduce(P, a) == (2 + 1 * 2) % 5
         t2 = lifted_root(P, 2)
@@ -208,7 +211,8 @@ class TestResidues:
         assert residue_identity(P, 2) == 1
 
     def test_inert_pair_matches_naive(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 3, KIND_INERT)
+        (P,) = primes_above(gauss_field, 3)
+        assert P.kind == KIND_INERT
         a = gauss_field.element(2, 1)
         for e in range(0, 12):
             assert residue_pow(a, e, P, 1) == naive_pair_pow(gauss_field, (2, 1), e, 3)
@@ -228,7 +232,8 @@ class TestResidues:
                     assert residue_pow(a, P.norm - 1, P) == residue_identity(P)
 
     def test_ramified_square_modulus(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 2, KIND_RAMIFIED)
+        (P,) = primes_above(gauss_field, 2)
+        assert P.kind == KIND_RAMIFIED
         a = gauss_field.element(2, 1)
         # P**2 = (2), so pairs mod 2 encode residues mod P**2
         assert residue_identity(P, 2) == (1, 0)

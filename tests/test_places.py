@@ -1,4 +1,4 @@
-"""Wieferich classification, first-occurrence bookkeeping, and the census."""
+"""Wieferich classification, the census, and its first-occurrence bookkeeping."""
 
 from math import gcd
 
@@ -8,7 +8,6 @@ from wieferich import (
     CycloFactorCache,
     FactorBudget,
     FieldSpec,
-    FirstOccurrenceState,
     KIND_INERT,
     KIND_SPLIT,
     STRATEGY_PRIME_LEVELS,
@@ -18,12 +17,11 @@ from wieferich import (
     decompose,
     element_valuation,
     is_wieferich_place,
-    new_prime_for,
     place_report,
-    prime_above_of_kind,
     primes_above,
     scan_wieferich_places,
 )
+from wieferich import places
 from wieferich.intfactor import padic_valuation
 from wieferich.places import CensusResult
 
@@ -44,12 +42,14 @@ class TestWieferichTest:
             assert is_wieferich_place(P, two) == expected
 
     def test_base_in_place_rejected(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 3)
+        P = primes_above(gauss_field, 5)[1]
+        assert (P.kind, P.t) == (KIND_SPLIT, 3)
         with pytest.raises(ValueError):
             is_wieferich_place(P, gauss_field.element(2, 1))
 
     def test_report_fields(self, gauss_field):
-        P = prime_above_of_kind(gauss_field, 5, KIND_SPLIT, 2)
+        P = primes_above(gauss_field, 5)[0]
+        assert (P.kind, P.t) == (KIND_SPLIT, 2)
         report = place_report(P, gauss_field.element(2, 1))
         assert report.norm == 5
         assert report.order == 2
@@ -117,41 +117,24 @@ class TestSquarefreeRoute:
 
 
 class TestFirstOccurrence:
-    def test_worked_example(self, base_2i):
-        state = FirstOccurrenceState(base_2i, 1)
-        P = new_prime_for(1, 2, base_2i, state)
-        assert P.label() == "(5,split,2)"
-        # level 1 contributed only the ramified place, recorded as seen
-        assert any(Q.kind == "ramified" for Q in state.seen)
+    def test_worked_example(self, base_2i, cache_2i):
+        result = census(base_2i, 1, 2, cache=cache_2i)
+        assert result.records[0].place.label() == "(5,split,2)"
+        assert result.records[0].discovered_at_level == 2
+        # level 1 contributed only the ramified place, seen but excluded
+        assert [e["reason"] for e in result.excluded] == ["ramified"]
 
-    def test_sequential_contract(self, base_2i):
-        state = FirstOccurrenceState(base_2i, 1)
-        state.advance(3)
-        with pytest.raises(ValueError):
-            state.ingest(3)  # already processed
-        with pytest.raises(ValueError):
-            state.ingest(5)  # skips multiplier 4
-
-    def test_base_and_modulus_must_match(self, base_2i, gauss_field):
-        state = FirstOccurrenceState(base_2i, 1)
-        with pytest.raises(ValueError):
-            new_prime_for(2, 2, base_2i, state)
-        with pytest.raises(ValueError):
-            new_prime_for(1, 2, gauss_field.element(1, 2), state)
-
-    def test_monotone_query(self, base_2i):
-        state = FirstOccurrenceState(base_2i, 1)
-        assert new_prime_for(1, 3, base_2i, state) is not None
-        with pytest.raises(ValueError):
-            new_prime_for(1, 2, base_2i, state)
+    def test_base_and_modulus_must_match(self, base_2i, cache_2i, gauss_field):
+        with pytest.raises(ValueError, match="progression modulus"):
+            census(base_2i, 0, 2, cache=cache_2i)
+        with pytest.raises(ValueError, match="different base"):
+            census(gauss_field.element(1, 2), 1, 2, cache=cache_2i)
 
     def test_fresh_primes_never_repeat(self, base_2i, cache_2i):
-        state = FirstOccurrenceState(base_2i, 1, cache=cache_2i)
-        seen = []
-        for m in range(1, 21):
-            fresh = state.ingest(m)
-            assert fresh is not None
-            seen.extend(fresh)
+        result = census(base_2i, 1, 20, cache=cache_2i)
+        assert result.skipped_levels == []
+        seen = [r.place.label() for r in result.records]
+        seen += [e["place"] for e in result.excluded]
         assert len(seen) == len(set(seen))
 
 
@@ -205,6 +188,18 @@ class TestCensus:
         assert {r.discovered_at_level for r in primes_only.records} <= {2, 3, 5, 7}
         full_at_primes = [r for r in full.records if r.discovered_at_level in (2, 3, 5, 7)]
         assert [r.place for r in full_at_primes] == [r.place for r in primes_only.records]
+
+    def test_prime_levels_decompose_every_level_to_last_prime(self, base_2i, monkeypatch):
+        levels = []
+        real_decompose = places.decompose
+
+        def counting_decompose(a, n, **kwargs):
+            levels.append(n)
+            return real_decompose(a, n, **kwargs)
+
+        monkeypatch.setattr(places, "decompose", counting_decompose)
+        census(base_2i, 1, 10, strategy=STRATEGY_PRIME_LEVELS)
+        assert levels == list(range(1, 8))
 
     def test_small_base_warns(self, gauss_field):
         result = census(gauss_field.element(1, 1), 1, 6)
