@@ -12,7 +12,6 @@ from .cyclo import (
     CycloFactorCache,
     Decomposition,
     cyclotomic_eval,
-    cyclotomic_polynomial,
     decompose,
     divisors,
     euler_phi,
@@ -102,7 +101,6 @@ __all__ = [
     "check_upper_norm_bound",
     "classify_base",
     "cyclotomic_eval",
-    "cyclotomic_polynomial",
     "decompose",
     "divisors",
     "element_valuation",

@@ -2,8 +2,8 @@
 
 Phi_n(a) is evaluated through the Mobius product prod over d | n of
 (a^d - 1)**mu(n/d) with exact ring division, so no coefficient tables are
-needed at large n; a coefficient path is kept as a fallback for degenerate
-bases and as an independent cross-check.
+needed at large n.  Zero and magnitude-one bases, where that product
+degenerates, are rejected.
 
 For a fixed base a the principal ideals (a^n - 1) factor along the exact
 identity (a^n - 1) = prod over d | n of (Phi_d(a)), so a sweep over levels n
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .intfactor import FactorBudget, small_factors
 from .ideals import IdealFactorization, factor_principal
-from .qfield import InvariantViolation, QuadInt
+from .qfield import QuadInt
 
 
 def divisors(n: int) -> list[int]:
@@ -77,55 +76,23 @@ def totient_density_constant(k: int) -> Fraction:
 def high_totient_count(x: int, k: int) -> int:
     """How many n <= x satisfy phi(n*k) > (2/3) * c(k) * n * k, strictly.
 
-    c(k) is totient_density_constant(k); the comparison runs in exact
-    rational arithmetic so ties (for instance n = 3, k = 1) are excluded.
+    c(k) is totient_density_constant(k); the comparison is cleared of
+    denominators and runs on exact integers, so ties (for instance n = 3,
+    k = 1) are excluded.
     """
     if x < 1 or k < 1:
         raise ValueError("both arguments must be >= 1")
-    threshold = Fraction(2, 3) * totient_density_constant(k)
+    c = totient_density_constant(k)
     phi = totient_sieve(x * k)
-    return sum(1 for n in range(1, x + 1) if Fraction(phi[n * k]) > threshold * n * k)
-
-
-def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient of num by monic den over Z, assuming exact division."""
-    num = list(num)
-    deg_gap = len(num) - len(den)
-    quot = [0] * (deg_gap + 1)
-    for k in range(deg_gap, -1, -1):
-        coeff = num[k + len(den) - 1]
-        quot[k] = coeff
-        if coeff:
-            for j, c in enumerate(den):
-                num[k + j] -= coeff * c
-    if any(num[: len(den) - 1]):
-        raise InvariantViolation("polynomial division left a nonzero remainder")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d < n:
-            poly = _poly_exact_div(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-def _eval_by_coefficients(n: int, a: QuadInt) -> QuadInt:
-    acc = a.field.zero()
-    for c in reversed(cyclotomic_polynomial(n)):
-        acc = acc * a + c
-    return acc
+    return sum(
+        1 for n in range(1, x + 1) if 3 * c.denominator * phi[n * k] > 2 * c.numerator * n * k
+    )
 
 
 def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:
     """Phi_n(a) via the Mobius product over a^d - 1 with exact division."""
+    if a.is_zero or a.is_unit():
+        raise ValueError("base must be neither zero nor of magnitude one")
     if n == 1:
         return a - 1
     numerator = a.field.one()
@@ -135,9 +102,6 @@ def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:
         if sign == 0:
             continue
         factor = a**d - 1
-        if factor.is_zero:
-            # base is a root of unity; the product form degenerates
-            return _eval_by_coefficients(n, a)
         if sign == 1:
             numerator = numerator * factor
         else:
@@ -190,6 +154,16 @@ class CycloFactorCache:
         return self._decompositions[: max(n_max, 0)]
 
 
+def _cache_for(a: QuadInt, budget: FactorBudget | None,
+               cache: CycloFactorCache | None) -> CycloFactorCache:
+    """The given cache once its base is checked against a, or a fresh one."""
+    if cache is None:
+        return CycloFactorCache(a, budget)
+    if cache.a != a:
+        raise ValueError("cache was built for a different base")
+    return cache
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Squarefree/powerful split of (a^n - 1) and its cyclotomic-level slice.
@@ -234,10 +208,7 @@ def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
     """Split (a^n - 1) into squarefree and powerful parts, plus the level slice."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
-    elif cache.a != a:
-        raise ValueError("cache was built for a different base")
+    cache = _cache_for(a, budget, cache)
     power_ideal = cache.power_ideal(n)
     level = cache.level(n)
     squarefree = power_ideal.squarefree_part()

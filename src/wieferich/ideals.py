@@ -10,7 +10,6 @@ element's norm demands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,14 +87,6 @@ class PrimeIdeal:
     @property
     def norm(self) -> int:
         return self.p * self.p if self.kind == KIND_INERT else self.p
-
-    @property
-    def residue_degree(self) -> int:
-        return 2 if self.kind == KIND_INERT else 1
-
-    @property
-    def ramification_index(self) -> int:
-        return 2 if self.kind == KIND_RAMIFIED else 1
 
     def conjugate(self) -> PrimeIdeal:
         if self.kind != KIND_SPLIT:
@@ -343,9 +334,6 @@ class IdealFactorization:
             if P in other.exponents
         }
         return IdealFactorization(self.field, shared)
-
-    def is_coprime_to(self, other: IdealFactorization) -> bool:
-        return self.gcd(other).is_trivial()
 
     def restrict(self, keep) -> IdealFactorization:
         """Sub-ideal of the known part keeping primes with keep(P, e) true."""

@@ -51,12 +51,6 @@ class FactorResult:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def reassembled(self) -> int:
-        out = self.cofactor
-        for p, e in self.factors.items():
-            out *= p**e
-        return out
-
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> tuple[int, ...]:

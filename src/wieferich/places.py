@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .cyclo import CycloFactorCache, decompose
+from .cyclo import CycloFactorCache, _cache_for, decompose
 from .ideals import (
     BudgetExhausted,
     KIND_RAMIFIED,
@@ -190,8 +190,7 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
             "base magnitude squared is below 4; the logarithmic growth guarantee "
             "needs every embedding at magnitude 2 or more"
         )
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
+    cache = _cache_for(a, budget, cache)
     if strategy == STRATEGY_PRIME_LEVELS:
         record_at = set(primes_up_to(n_max))
     else:

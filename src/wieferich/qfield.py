@@ -237,9 +237,6 @@ class QuadInt:
     def is_unit(self) -> bool:
         return self.abs_norm() == 1
 
-    def is_rational_int(self) -> bool:
-        return self.y == 0
-
     def exact_div(self, other) -> QuadInt:
         """Quotient self/other inside the ring.
 

@@ -2,9 +2,9 @@
 
 Every check here is a falsifiable statement: violations lists must come
 back empty, and a nonempty list means an implementation bug, not news about
-number theory.  No bare floating-point comparison decides a pass; bounds are
-checked on exact integers or certified with interval arithmetic under
-directed rounding.
+number theory.  No floating-point comparison decides a pass: every bound is
+checked on exact integers, and floats appear only in reported slacks and
+ratios.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import mpmath
-
 from .cyclo import (
     CycloFactorCache,
-    Decomposition,
+    _cache_for,
     cyclotomic_eval,
     divisors,
     euler_phi,
@@ -27,8 +25,6 @@ from .ideals import KIND_RAMIFIED, BudgetExhausted, factor_principal, residue_or
 from .intfactor import FactorBudget, padic_valuation
 from .places import is_wieferich_place
 from .qfield import BaseClass, FieldSpec, QuadInt, classify_base, is_squarefree
-
-_SANDWICH_PRECISIONS = (64, 128, 256, 512)
 
 
 @dataclass
@@ -66,16 +62,6 @@ def _report(tag: str, a: QuadInt, n_max: int) -> BoundCheckReport:
     return BoundCheckReport(
         tag=tag, parameters={"a": a.coords(), "field": str(a.field), "n_max": n_max}
     )
-
-
-def _sweep(a: QuadInt, n_max: int, budget: FactorBudget | None,
-           cache: CycloFactorCache | None) -> list[Decomposition]:
-    """Decompositions of levels 1..n_max from the given cache, or a fresh one."""
-    if cache is None:
-        cache = CycloFactorCache(a, budget)
-    elif cache.a != a:
-        raise ValueError("cache was built for a different base")
-    return cache.sweep(n_max)
 
 
 def check_upper_norm_bound(a: QuadInt, n_max: int) -> BoundCheckReport:
@@ -129,60 +115,33 @@ def check_cyclotomic_norm_lower_bound(a: QuadInt, n_max: int) -> BoundCheckRepor
     return report
 
 
-def _sandwich_certify(b: Fraction, n: int, precision: int) -> tuple[bool, float | None]:
-    """Certify |sum over d|n of mu(n/d) log(1 - b**-d)| <= log 2 at one precision."""
-    saved = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = precision
-        total = mpmath.iv.mpf(0)
-        for d in divisors(n):
-            sign = mobius(n // d)
-            if sign == 0:
-                continue
-            numerator = b.numerator**d - b.denominator**d
-            denominator = b.numerator**d
-            term = mpmath.iv.log(mpmath.iv.mpf(numerator) / mpmath.iv.mpf(denominator))
-            total = total + term if sign == 1 else total - term
-        log2 = mpmath.iv.log(mpmath.iv.mpf(2))
-        # compare outer endpoints so the certificate survives the rounding
-        upper_ok = total.b <= log2.a
-        lower_ok = total.a >= -log2.a
-        if upper_ok and lower_ok:
-            # endpoint arithmetic rounds outward again, so keep the inner edge
-            slack = min(float((log2.a - total.b).a), float((total.a + log2.a).a))
-            return True, slack
-        return False, None
-    finally:
-        mpmath.iv.prec = saved
-
-
 def check_sandwich(b, n_max: int) -> BoundCheckReport:
     """-log 2 <= sum over d|n of mu(n/d) log(1 - b**-d) <= log 2, 2 <= n <= n_max.
 
-    b is any exact rational >= 2 (integers welcome); each level is certified
-    by interval arithmetic, escalating the working precision until both
-    inequalities hold with certainty.
+    b is any exact rational >= 2 (integers welcome).  The sum is log P_n for
+    the rational P_n = prod over d|n of (1 - b**-d)**mu(n/d), built as
+    num/den from the factors (p**d - q**d)/p**d with b = p/q, so each level
+    is decided exactly by 1/2 <= P_n <= 2.
     """
     b = Fraction(b)
     if b < 2:
         raise ValueError("sandwich bound needs b >= 2")
-    report = BoundCheckReport(
-        tag="sandwich",
-        parameters={"b": f"{b.numerator}/{b.denominator}", "n_max": n_max},
-    )
+    p, q = b.numerator, b.denominator
+    report = BoundCheckReport(tag="sandwich", parameters={"b": f"{p}/{q}", "n_max": n_max})
     for n in range(2, n_max + 1):
-        certified = False
-        for precision in _SANDWICH_PRECISIONS:
-            ok, slack = _sandwich_certify(b, n, precision)
-            if ok:
-                certified = True
-                report.checked += 1
-                report.record_slack(slack)
-                break
-        if not certified:
-            report.violations.append(
-                {"n": n, "reason": "could not certify within precision ladder"}
-            )
+        num = den = 1
+        for d in divisors(n):
+            sign = mobius(n // d)
+            if sign == 1:
+                num, den = num * (p**d - q**d), den * p**d
+            elif sign == -1:
+                num, den = num * p**d, den * (p**d - q**d)
+        report.checked += 1
+        if den <= 2 * num and num <= 2 * den:
+            report.record_slack(min(math.log1p((2 * den - num) / num),
+                                    math.log1p((2 * num - den) / den)))
+        else:
+            report.violations.append({"n": n, "product": f"{num}/{den}"})
     return report
 
 
@@ -195,7 +154,7 @@ def check_pairwise_coprime(a: QuadInt, n_max: int, budget: FactorBudget | None =
     """
     report = _report("pairwise-coprime-level-slices", a, n_max)
     slices = {}
-    for dec in _sweep(a, n_max, budget, cache):
+    for dec in _cache_for(a, budget, cache).sweep(n_max):
         if not dec.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
@@ -214,7 +173,7 @@ def check_squarefree_nonwieferich(a: QuadInt, n_max: int, budget: FactorBudget |
                                   cache: CycloFactorCache | None = None) -> BoundCheckReport:
     """Every prime of the squarefree part of (a^n - 1) tests non-Wieferich."""
     report = _report("squarefree-places-nonwieferich", a, n_max)
-    for dec in _sweep(a, n_max, budget, cache):
+    for dec in _cache_for(a, budget, cache).sweep(n_max):
         if not dec.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
@@ -231,7 +190,7 @@ def check_order_consistency_range(a: QuadInt, n_max: int, budget: FactorBudget |
     base is n stripped of its residue-characteristic part, and the norm is 1
     modulo that.  Ramified primes are passed over."""
     report = _report("order-consistency", a, n_max)
-    for dec in _sweep(a, n_max, budget, cache):
+    for dec in _cache_for(a, budget, cache).sweep(n_max):
         n = dec.n
         if not dec.level_ideal.complete:
             report.skipped.append({"n": n, "reason": "incomplete factorization"})
@@ -305,7 +264,7 @@ def bound_trend_report(a: QuadInt, n_max: int, budget: FactorBudget | None = Non
         raise ValueError("trend report needs a base of magnitude above 1")
     report = TrendReport(a, n_max)
     log_base = math.log(a.abs_norm())
-    for dec in _sweep(a, n_max, budget, cache):
+    for dec in _cache_for(a, budget, cache).sweep(n_max):
         n = dec.n
         if not dec.complete:
             report.skipped_levels.append(n)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,20 @@ class TestVerifyCommand:
         assert code == 1
         assert err == "error: n_max must be >= 1\n"
         assert out == ""
+
+    def test_runs_without_mpmath(self):
+        # an import of mpmath anywhere in the package fails under this entry
+        script = (
+            "import sys; sys.modules['mpmath'] = None; from wieferich import cli; "
+            "sys.exit(cli.main(['verify', '-d', '1', '-a', '2,1', '--n-max', '10']))"
+        )
+        package_root = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
 
 
 class TestExceptionsCommand:

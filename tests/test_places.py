@@ -130,6 +130,12 @@ class TestFirstOccurrence:
         with pytest.raises(ValueError, match="different base"):
             census(gauss_field.element(1, 2), 1, 2, cache=cache_2i)
 
+    def test_prime_levels_without_a_prime_still_check_the_cache(self, gauss_field):
+        # n_max 1 has no prime multiplier, so no level is decomposed at all
+        with pytest.raises(ValueError, match="cache was built for a different base"):
+            census(gauss_field.element(2, 1), 1, 1, strategy=STRATEGY_PRIME_LEVELS,
+                   cache=CycloFactorCache(gauss_field.element(1, 2)))
+
     def test_fresh_primes_never_repeat(self, base_2i, cache_2i):
         result = census(base_2i, 1, 20, cache=cache_2i)
         assert result.skipped_levels == []

@@ -27,6 +27,9 @@ from wieferich.qfield import BASIS_HALF
 from wieferich.verify import bound_trend_report
 
 
+SANDWICH_BASES = [2, 3, 10, Fraction(5, 2), Fraction(7, 3)]
+
+
 def brute_norm_le_3(d):
     """Direct lattice scan with the norm form, independent of the package path."""
     field = FieldSpec.from_d(d)
@@ -69,7 +72,7 @@ class TestBoundChecks:
         with pytest.raises(ValueError):
             check_cyclotomic_norm_lower_bound(gauss_field.element(1, 1), 10)
 
-    @pytest.mark.parametrize("b", [2, 3, 10, Fraction(5, 2), Fraction(7, 3)])
+    @pytest.mark.parametrize("b", SANDWICH_BASES)
     def test_sandwich_certifies(self, b):
         report = check_sandwich(b, 60)
         assert report.passed
@@ -89,6 +92,23 @@ class TestBoundChecks:
                 mobius(n // d) * math.log(1 - 2.0**-d) for d in divisors(n) if mobius(n // d)
             )
             assert abs(total) <= math.log(2) + 1e-9
+        # the reported slack is the smallest distance to +-log 2 over the levels;
+        # at b = 2 the d = 1 term is exactly -log 2, so it is kept as a multiple
+        # of log 2 and the slack near a prime level is the tiny remainder itself
+        for b in SANDWICH_BASES:
+            slacks = []
+            for n in range(2, 61):
+                halves, rest = 0, 0.0
+                for d in divisors(n):
+                    sign = mobius(n // d)
+                    if b == 2 and d == 1:
+                        halves -= sign
+                    elif sign:
+                        rest += sign * math.log1p(-float(Fraction(1) / Fraction(b) ** d))
+                slacks.append((1 - halves) * math.log(2) - rest)
+                slacks.append((1 + halves) * math.log(2) + rest)
+            assert min(slacks) > 0
+            assert math.isclose(check_sandwich(b, 60).min_slack, min(slacks), rel_tol=1e-12)
 
     def test_pairwise_coprime(self, base_2i, cache_2i):
         report = check_pairwise_coprime(base_2i, 12, cache=cache_2i)
