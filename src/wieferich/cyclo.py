@@ -8,19 +8,20 @@ degenerates, are rejected.
 For a fixed base a the principal ideals (a^n - 1) factor along the exact
 identity (a^n - 1) = prod over d | n of (Phi_d(a)), so a sweep over levels n
 factors each cyclotomic value once and merges.  Primes shared between two
-levels always lie over rational primes dividing the larger level, hence stay
-below any sane trial division bound; merged exponents of certified primes are
-therefore exact even when some level carries an unfactored cofactor.
+levels lie over rational primes dividing the larger level.  Below the trial
+division bound they are always found; above a tiny bound one can be certified
+at one level and hidden in another level's cofactor, and then the merge reads
+the exact valuations of its certified primes off a^n - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .intfactor import FactorBudget, small_factors
-from .ideals import IdealFactorization, factor_principal
+from .ideals import IdealFactorization, _exact_factorization, factor_principal
 from .qfield import QuadInt
 
 
@@ -145,7 +146,11 @@ class CycloFactorCache:
         out = IdealFactorization(self.field)
         for d in divisors(n):
             out = out.mul(self.level(d).ideal)
-        return out
+        primes = {P.p for P in out.exponents}
+        if gcd(out.cofactor, prod(primes)) == 1:
+            return out
+        # a prime certified at one level hides in another level's cofactor
+        return _exact_factorization(self.a**n - 1, sorted(primes))
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""

@@ -364,26 +364,23 @@ class IdealFactorization:
         return f"IdealFactorization({body or '(1)'})"
 
 
+def _exact_factorization(gamma: QuadInt, rational_primes) -> IdealFactorization:
+    """(gamma) with exact valuations at every prime above the given rational primes.
+
+    The rest of the norm is the cofactor, so it is coprime to those primes:
+    none of them can hide there with an undercounted exponent.
+    """
+    field = gamma.field
+    exponents = {P: element_valuation(P, gamma)
+                 for p in rational_primes for P in primes_above(field, p)}
+    known = 1
+    for P, e in exponents.items():
+        known *= P.norm**e
+    return IdealFactorization(field, exponents, gamma.abs_norm() // known)
+
+
 def factor_principal(gamma: QuadInt, budget: FactorBudget | None = None) -> IdealFactorization:
     """Factor the principal ideal (gamma) within the effort budget."""
     if gamma.is_zero:
         raise ValueError("cannot factor the zero ideal")
-    field = gamma.field
-    nm = gamma.abs_norm()
-    if nm == 1:
-        return IdealFactorization(field)
-    decomposition = factorize(nm, budget)
-    exponents: dict[PrimeIdeal, int] = {}
-    for p in sorted(decomposition.factors):
-        total = decomposition.factors[p]
-        above = primes_above(field, p)
-        if len(above) == 2:
-            first = element_valuation(above[0], gamma)
-            if first:
-                exponents[above[0]] = first
-            if total - first:
-                exponents[above[1]] = total - first
-        else:
-            P = above[0]
-            exponents[P] = element_valuation(P, gamma)
-    return IdealFactorization(field, exponents, decomposition.cofactor)
+    return _exact_factorization(gamma, sorted(factorize(gamma.abs_norm(), budget).factors))

@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wieferich
 from wieferich import cyclo
@@ -251,6 +251,69 @@ class TestCacheAndDecompose:
             decompose(base_2i, 0)
         with pytest.raises(ValueError, match="neither zero nor of magnitude one"):
             decompose(gauss_field.element(0, 1), 3)
+
+
+# Default-budget caches shared across examples, one per base: the default
+# budget factors every level from scratch, so each base pays for it once.
+_DEFAULT_CACHES: dict = {}
+
+
+def _default_cache(a):
+    key = (a.field, a.x, a.y)
+    if key not in _DEFAULT_CACHES:
+        _DEFAULT_CACHES[key] = CycloFactorCache(a)
+    return _DEFAULT_CACHES[key]
+
+
+@st.composite
+def small_bases(draw):
+    """A base of coordinates in [-2, 2] in one of the rings d = 0, 1, 2, 3, 7."""
+    field = FieldSpec.from_d(draw(st.sampled_from([0, 1, 2, 3, 7])))
+    a = field.element(draw(st.integers(-2, 2)), 0 if field.is_rational else draw(st.integers(-2, 2)))
+    assume(not a.is_zero and not a.is_unit())
+    return a
+
+
+tiny_budgets = st.builds(
+    FactorBudget, trial_limit=st.integers(2, 100), rho_iterations=st.integers(0, 1000)
+)
+
+
+class TestBudgetIndependence:
+    """What a budget certifies never depends on how large the budget is."""
+
+    @settings(max_examples=15)
+    @given(small_bases(), st.integers(1, 40), tiny_budgets)
+    def test_tiny_budget_certifies_default_exponents(self, a, n, budget):
+        tiny = decompose(a, n, budget=budget)
+        full = decompose(a, n, cache=_default_cache(a))
+        for part, reference in ((tiny.power_ideal, full.power_ideal),
+                                (tiny.level_ideal, full.level_ideal)):
+            for P, e in part.exponents.items():
+                assert reference.exponent(P) == e, (a, n, budget, P.label())
+
+    def test_prime_hidden_in_another_levels_cofactor(self, gauss_field):
+        # Nm Phi_3(2i) = 13 is certified, while the 13 in Phi_39(2i) stays
+        # in that level's cofactor below a trial limit of 2 without rho
+        a = gauss_field.element(0, 2)
+        tiny = decompose(a, 39, budget=FactorBudget(trial_limit=2, rho_iterations=0))
+        full = decompose(a, 39)
+        assert {P.label(): e for P, e in tiny.power_ideal.items_sorted() if P.p == 13} == {
+            "(13,split,8)": 2
+        }
+        assert tiny.powerful.exponents == full.powerful.exponents
+
+    @settings(max_examples=15)
+    @given(small_bases(), st.integers(1, 40), tiny_budgets)
+    def test_small_budget_only_skips_levels(self, a, n_max, budget):
+        tiny = CycloFactorCache(a, budget)
+        full = _default_cache(a)
+        for n in range(1, n_max + 1):
+            level = tiny.level(n)
+            if level.complete:
+                reference = full.level(n)
+                assert reference.complete, (a, n, budget)
+                assert level.ideal.exponents == reference.ideal.exponents, (a, n, budget)
 
 
 class TestSweep:

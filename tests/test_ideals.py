@@ -357,6 +357,16 @@ class TestIdealFactorization:
         assert {P.label() for P, _ in pw.items_sorted()} == {"(5,split,3)"}
         assert {P.label() for P, _ in sf.items_sorted()} == {"(2,ramified,1)", "(3,inert)"}
 
+    def test_certified_exponents_are_exact_under_tiny_budget(self, rational_field, gauss_field):
+        # trial division to 2 and one rho iteration certify 101 in the norm
+        # 101^2 * 541 but leave 101 * 541 unsplit in the cofactor
+        tiny = FactorBudget(trial_limit=2, rho_iterations=1)
+        for gamma in (rational_field.element(101**2 * 541),
+                      gauss_field.element(10, 1) ** 2 * gauss_field.element(10, 21)):
+            fac = factor_principal(gamma, tiny)
+            assert {P.p: e for P, e in fac.items_sorted()} == {101: 2}
+            assert fac.cofactor == 541
+
     def test_incomplete_gcd_raises(self, gauss_field):
         big = gauss_field.element(2, 1) ** 2
         ok = factor_principal(big)
