@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from itertools import combinations
+
 from wieferich import FactorBudget, certify_prime, factorize, is_probable_prime
 from wieferich.intfactor import (
     DETERMINISTIC_MR_BOUND,
@@ -47,6 +49,10 @@ class TestPrimality:
 
     def test_sieve_matches_naive(self):
         assert list(primes_up_to(200)) == [p for p in range(2, 201) if naive_prime(p)]
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 3, 10**4])
+    def test_sieve_matches_naive_at_edges(self, limit):
+        assert list(primes_up_to(limit)) == [p for p in range(2, limit + 1) if naive_prime(p)]
 
     def test_known_composites_and_primes(self):
         assert is_probable_prime(2**61 - 1)
@@ -148,3 +154,57 @@ class TestFactorize:
     def test_factor_one_is_trivial(self):
         result = factorize(1)
         assert result.complete and result.factors == {} and reassembled(result) == 1
+
+
+def per_prime_trial_division(n: int, budget: FactorBudget) -> tuple[list[tuple[int, int]], int]:
+    """factorize's result as ordered (factors items, cofactor), trial-dividing prime by prime.
+
+    One modulo per prime <= the trial limit, then the n <= limit**2 shortcut.
+    Whatever is left has no prime factor <= the limit, so factorize hands it
+    straight to the later stages, whose primes follow the trial primes.
+    """
+    factors: dict[int, int] = {}
+    for p in primes_up_to(budget.trial_limit):
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    cofactor = 1
+    if 1 < n <= budget.trial_limit**2:
+        factors[n] = factors.get(n, 0) + 1
+    elif n > 1:
+        tail = factorize(n, budget)
+        factors.update(tail.factors)
+        cofactor = tail.cofactor
+    return list(factors.items()), cofactor
+
+
+def next_prime(n: int) -> int:
+    n += 1
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
+class TestTrialDivisionBlocks:
+    """Trial division by prime blocks removes exactly what the per-prime loop removes."""
+
+    @pytest.mark.parametrize("limit", [2, 3, 100, 10**4, 10**6])
+    def test_matches_per_prime_loop_at_block_edges(self, limit):
+        small = primes_up_to(10**4)
+        # the last and first primes of adjacent 512-prime blocks
+        edges = [small[511], small[512], small[1023], small[1024]]
+        top = primes_up_to(limit)[-1]
+        above = next_prime(limit)
+        pieces = edges + [top, above, above * above, limit]
+        inputs = pieces + [a * b for a, b in combinations(pieces, 2)]
+        inputs += [piece**2 for piece in pieces]
+        inputs += [piece * (2**61 - 1) for piece in pieces]
+        inputs.append(top * above * small[511] * small[512] * small[1024] ** 3)
+        budget = FactorBudget(trial_limit=limit, rho_iterations=10**5)
+        for n in dict.fromkeys(inputs):
+            result = factorize(n, budget)
+            assert (list(result.factors.items()), result.cofactor) == per_prime_trial_division(
+                n, budget
+            ), n
