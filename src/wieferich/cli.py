@@ -114,12 +114,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _budget_from(args) -> FactorBudget:
     trial, rho = args.trial_limit, args.rho_iterations
     if trial is None:
-        trial = int(os.environ.get(ENV_TRIAL_LIMIT, 10**6))
+        trial = _env_int(ENV_TRIAL_LIMIT, 10**6)
     if rho is None:
-        rho = int(os.environ.get(ENV_RHO_ITERATIONS, 10**6))
+        rho = _env_int(ENV_RHO_ITERATIONS, 10**6)
     return FactorBudget(trial_limit=trial, rho_iterations=rho)
 
 

@@ -136,7 +136,7 @@ def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     return (PrimeIdeal(field, p, KIND_INERT),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _lifted_root(field: FieldSpec, p: int, t: int, precision: int) -> int:
     """Newton-lift the simple root t of x^2 - trace*x + norm mod p to mod p**precision."""
     trace, nm = field.omega_trace, field.omega_norm

@@ -262,6 +262,17 @@ class TestQualityCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("variable,value", [
+        (cli.ENV_TRIAL_LIMIT, "abc"),
+        (cli.ENV_RHO_ITERATIONS, "1e6"),
+    ])
+    def test_bad_budget_variable_is_named(self, capsys, monkeypatch, variable, value):
+        monkeypatch.setenv(variable, value)
+        code, out, err = run_cli(["classify", "-d", "1", "-a", "2,1", "--prime", "5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {variable} must be an integer, got '{value}'\n"
+
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["bogus"]) == 1
 

@@ -21,7 +21,7 @@ from wieferich import (
     primes_above,
     scan_wieferich_places,
 )
-from wieferich import places
+from wieferich import ideals, places
 from wieferich.intfactor import padic_valuation
 from wieferich.places import CensusResult
 
@@ -71,6 +71,14 @@ class TestWieferichTest:
                     continue
                 report = place_report(P, a)
                 assert (P.norm - 1) % report.order == 0
+
+    def test_scan_keeps_lifted_roots_bounded(self, base_2i):
+        misses = ideals._lifted_root.cache_info().misses
+        scan_wieferich_places(base_2i, 2 * 10**4)
+        info = ideals._lifted_root.cache_info()
+        # the scan lifts a root at more places than the cache keeps
+        assert info.misses - misses > 1024
+        assert info.currsize <= 1024
 
     def test_scan_finds_norm_17_example(self, gauss_field):
         # (2+i)**16 == 1 mod (17, split, 4)**2: substituting the lifted root 38
