@@ -371,16 +371,25 @@ def _exact_factorization(gamma: QuadInt, rational_primes) -> IdealFactorization:
     none of them can hide there with an undercounted exponent.
     """
     field = gamma.field
-    exponents = {P: element_valuation(P, gamma)
-                 for p in rational_primes for P in primes_above(field, p)}
+    nm = gamma.abs_norm()
+    exponents: dict[PrimeIdeal, int] = {}
+    for p in rational_primes:
+        above = primes_above(field, p)
+        exponents[above[0]] = element_valuation(above[0], gamma)
+        if len(above) == 2:
+            # both places above a split p have norm p
+            exponents[above[1]] = padic_valuation(nm, p) - exponents[above[0]]
     known = 1
     for P, e in exponents.items():
         known *= P.norm**e
-    return IdealFactorization(field, exponents, gamma.abs_norm() // known)
+    return IdealFactorization(field, exponents, nm // known)
 
 
 def factor_principal(gamma: QuadInt, budget: FactorBudget | None = None) -> IdealFactorization:
     """Factor the principal ideal (gamma) within the effort budget."""
     if gamma.is_zero:
         raise ValueError("cannot factor the zero ideal")
-    return _exact_factorization(gamma, sorted(factorize(gamma.abs_norm(), budget).factors))
+    nm = gamma.abs_norm()
+    if nm == 1:
+        return IdealFactorization(gamma.field)
+    return _exact_factorization(gamma, sorted(factorize(nm, budget).factors))
