@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .intfactor import FactorBudget, factorize, is_probable_prime, padic_valuation
-from .qfield import BASIS_SQRT, FieldSpec, InvariantViolation, QuadInt
+from .qfield import FieldSpec, InvariantViolation, QuadInt
 
 KIND_SPLIT = "split"
 KIND_INERT = "inert"
@@ -158,10 +158,14 @@ def lifted_root(P: PrimeIdeal, precision: int) -> int:
     return _lifted_root(P.field, P.p, P.t, precision)
 
 
-def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
-    """The exponent of P in the principal ideal (gamma), gamma != 0."""
+def _check_field(P: PrimeIdeal, gamma: QuadInt) -> None:
     if gamma.field != P.field:
         raise ValueError("element and prime live in different fields")
+
+
+def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
+    """The exponent of P in the principal ideal (gamma), gamma != 0."""
+    _check_field(P, gamma)
     if gamma.is_zero:
         raise ValueError("the zero element has infinite valuation")
     p = P.p
@@ -183,71 +187,48 @@ def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
     return full if residue == 0 else padic_valuation(residue, p)
 
 
-def _residue_modulus(P: PrimeIdeal, m: int) -> tuple[str, int]:
-    """How O/P^m is represented: ("int", modulus) or ("pair", modulus)."""
+def _residue_model(P: PrimeIdeal, m: int) -> tuple[int, int | None]:
+    """How O/P^m is represented: (modulus, root) maps x + y*w to (x + y*root) % modulus,
+    and (modulus, None) keeps the coordinate pair (x % modulus, y % modulus)."""
     if m < 1:
         raise ValueError("precision must be >= 1")
-    if P.kind in (KIND_RATIONAL, KIND_SPLIT):
-        return "int", P.p**m
+    if P.kind == KIND_RATIONAL:
+        return P.p**m, 0
     if P.kind == KIND_INERT:
-        return "pair", P.p**m
+        return P.p**m, None
     if m == 1:
-        return "int", P.p
+        return P.p, P.t
+    if P.kind == KIND_SPLIT:
+        return P.p**m, _lifted_root(P.field, P.p, P.t, m)
     if m % 2 == 0:
         # P**m is generated by the rational prime power p**(m/2)
-        return "pair", P.p ** (m // 2)
+        return P.p ** (m // 2), None
     raise ValueError("odd precision above 1 at a ramified prime has no plain integer model")
 
 
 def residue_identity(P: PrimeIdeal, m: int = 1):
-    shape, _ = _residue_modulus(P, m)
-    return 1 if shape == "int" else (1, 0)
-
-
-def _reduce(P: PrimeIdeal, gamma: QuadInt, m: int, shape: str, mod: int):
-    """Image of gamma in O/P^m under the (shape, mod) model of _residue_modulus."""
-    if shape == "pair":
-        return (gamma.x % mod, gamma.y % mod)
-    if P.kind == KIND_SPLIT:
-        return (gamma.x + gamma.y * _lifted_root(P.field, P.p, P.t, m)) % mod
-    if P.kind == KIND_RAMIFIED:
-        return (gamma.x + gamma.y * P.t) % mod
-    return gamma.x % mod
+    return (1, 0) if _residue_model(P, m)[1] is None else 1
 
 
 def residue_reduce(P: PrimeIdeal, gamma: QuadInt, m: int = 1):
     """Canonical image of gamma in O/P^m (int, or coordinate pair)."""
-    if gamma.field != P.field:
-        raise ValueError("element and prime live in different fields")
-    return _reduce(P, gamma, m, *_residue_modulus(P, m))
-
-
-def _pair_mul(field: FieldSpec, u: tuple[int, int], v: tuple[int, int], mod: int) -> tuple[int, int]:
-    x1, y1 = u
-    x2, y2 = v
-    cross = x1 * y2 + y1 * x2
-    yy = y1 * y2
-    if field.basis_kind == BASIS_SQRT:
-        return ((x1 * x2 - field.d * yy) % mod, cross % mod)
-    return ((x1 * x2 - field.omega_norm * yy) % mod, (cross + yy) % mod)
+    _check_field(P, gamma)
+    mod, root = _residue_model(P, m)
+    if root is None:
+        return (gamma.x % mod, gamma.y % mod)
+    return (gamma.x + gamma.y * root) % mod
 
 
 def residue_pow(a: QuadInt, e: int, P: PrimeIdeal, m: int = 1):
     """a**e in O/P^m, in the canonical encoding of residue_reduce."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
-    shape, mod = _residue_modulus(P, m)
-    base = _reduce(P, a, m, shape, mod)
-    if shape == "int":
-        return pow(base, e, mod)
-    result = (1 % mod, 0)
-    while e:
-        if e & 1:
-            result = _pair_mul(P.field, result, base, mod)
-        e >>= 1
-        if e:
-            base = _pair_mul(P.field, base, base, mod)
-    return result
+    _check_field(P, a)
+    mod, root = _residue_model(P, m)
+    if root is None:
+        power = pow(a, e, mod)
+        return (power.x, power.y)
+    return pow(a.x + a.y * root, e, mod)
 
 
 def is_unit_mod(P: PrimeIdeal, a: QuadInt) -> bool:
@@ -265,9 +246,8 @@ def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None)
     if not decomposition.complete:
         raise BudgetExhausted(f"cannot fully factor {group_size} to compute an order")
     order = group_size
-    identity = residue_identity(P, 1)
     for ell in decomposition.factors:
-        while order % ell == 0 and residue_pow(a, order // ell, P, 1) == identity:
+        while order % ell == 0 and residue_pow(a, order // ell, P, 1) in (1, (1, 0)):
             order //= ell
     return order
 

@@ -315,6 +315,11 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
             continue
         stack.append((piece, mult))
         stack.append((value // piece, mult))
+    # an unsplit piece may still hold copies of a prime certified from another piece
+    for p in factors:
+        while cofactor % p == 0:
+            factors[p] += 1
+            cofactor //= p
     return FactorResult(original, factors, cofactor)
 
 

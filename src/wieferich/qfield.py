@@ -4,7 +4,9 @@ Elements are stored in integral-basis coordinates x + y*w.  The generator w
 depends on the squarefree parameter d: w = sqrt(-d) when d is 1 or 2 mod 4
 ("sqrt" basis) and w = (1 + sqrt(-d))/2 when d is 3 mod 4 ("half" basis).
 A degenerate rational mode (the ring is plain Z, trivial conjugation) lets
-the same pipelines run against ordinary integers.
+the same pipelines run against ordinary integers.  Every ring is Z[w] with
+w^2 = T*w - N (T = omega_trace, N = omega_norm; T = N = 0 and y = 0 in
+rational mode), so products, conjugates, norms and powers follow one rule.
 
 Everything here is immutable and pure; no floating point appears anywhere.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intfactor import small_factors
 
@@ -73,24 +76,24 @@ class FieldSpec:
     def degree(self) -> int:
         return 1 if self.is_rational else 2
 
-    @property
+    @cached_property
     def basis_kind(self) -> str | None:
         if self.is_rational:
             return None
         return BASIS_HALF if self.d % 4 == 3 else BASIS_SQRT
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
         if self.is_rational:
             return 1
         return -self.d if self.d % 4 == 3 else -4 * self.d
 
-    # w satisfies x^2 - omega_trace*x + omega_norm = 0
-    @property
+    # w satisfies w^2 = omega_trace*w - omega_norm; rational mode has 0 and 0
+    @cached_property
     def omega_trace(self) -> int:
         return 1 if self.basis_kind == BASIS_HALF else 0
 
-    @property
+    @cached_property
     def omega_norm(self) -> int:
         if self.is_rational:
             return 0
@@ -184,38 +187,40 @@ class QuadInt:
     def __mul__(self, other) -> QuadInt:
         other = self._coerce(other)
         f = self.field
-        if f.is_rational:
-            return QuadInt(self.x * other.x, 0, f)
-        cross = self.x * other.y + self.y * other.x
         yy = self.y * other.y
-        if f.basis_kind == BASIS_SQRT:
-            # w^2 = -d
-            return QuadInt(self.x * other.x - f.d * yy, cross, f)
-        # w^2 = w - (1+d)/4
-        return QuadInt(self.x * other.x - f.omega_norm * yy, cross + yy, f)
+        return QuadInt(
+            self.x * other.x - f.omega_norm * yy,
+            self.x * other.y + self.y * other.x + f.omega_trace * yy,
+            f,
+        )
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> QuadInt:
-        if n < 0:
+    def __pow__(self, e: int, mod: int | None = None) -> QuadInt:
+        """self**e; pow(self, e, mod) reduces both coordinates mod `mod`."""
+        if e < 0:
             raise ValueError("negative exponents leave the ring")
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        f = self.field
+        trace, nm = f.omega_trace, f.omega_norm
+        x, y = self.x, self.y
+        rx, ry = 1 if mod is None else 1 % mod, 0
+        while e:
+            if e & 1:
+                yy = ry * y
+                rx, ry = rx * x - nm * yy, rx * y + ry * x + trace * yy
+                if mod is not None:
+                    rx, ry = rx % mod, ry % mod
+            e >>= 1
+            if e:
+                yy = y * y
+                x, y = x * x - nm * yy, 2 * x * y + trace * yy
+                if mod is not None:
+                    x, y = x % mod, y % mod
+        return QuadInt(rx, ry, f)
 
     def conjugate(self) -> QuadInt:
-        f = self.field
-        if f.is_rational:
-            return self
-        if f.basis_kind == BASIS_SQRT:
-            return QuadInt(self.x, -self.y, f)
-        return QuadInt(self.x + self.y, -self.y, f)
+        # the conjugate of w is trace - w
+        return QuadInt(self.x + self.field.omega_trace * self.y, -self.y, self.field)
 
     def norm(self) -> int:
         """Field norm.  Non-negative in imaginary quadratic mode; the element
@@ -223,9 +228,7 @@ class QuadInt:
         f = self.field
         if f.is_rational:
             return self.x
-        if f.basis_kind == BASIS_SQRT:
-            return self.x * self.x + f.d * self.y * self.y
-        return self.x * self.x + self.x * self.y + f.omega_norm * self.y * self.y
+        return self.x * self.x + f.omega_trace * self.x * self.y + f.omega_norm * self.y * self.y
 
     def abs_norm(self) -> int:
         return abs(self.norm())

@@ -365,24 +365,14 @@ def exception_set(d_list) -> dict[int, list[QuadInt]]:
     out: dict[int, list[QuadInt]] = {}
     for d in d_list:
         spec = FieldSpec.imaginary_quadratic(d)
+        trace, disc = spec.omega_trace, -spec.discriminant
         found = []
-        if spec.basis_kind == "half":
-            # norm 4*(x + y/2)^2 + d y^2 over 4; |y| <= sqrt(12/d)
-            y_bound = math.isqrt(12 // d)
-            for y in range(-y_bound, y_bound + 1):
-                span = math.isqrt(12 - d * y * y)
-                x_low = -((span + y) // 2)
-                x_high = (span - y) // 2
-                for x in range(x_low, x_high + 1):
-                    element = spec.element(x, y)
-                    if element.norm() <= 3:
-                        found.append(element)
-        else:
-            y_bound = math.isqrt(3 // d) if d <= 3 else 0
-            for y in range(-y_bound, y_bound + 1):
-                x_bound = math.isqrt(3 - d * y * y)
-                for x in range(-x_bound, x_bound + 1):
-                    found.append(spec.element(x, y))
+        # 4*Nm(x + y*w) = (2x + trace*y)^2 + |disc|*y^2 <= 12
+        y_bound = math.isqrt(12 // disc)
+        for y in range(-y_bound, y_bound + 1):
+            span = math.isqrt(12 - disc * y * y)
+            for x in range(-((span + trace * y) // 2), (span - trace * y) // 2 + 1):
+                found.append(spec.element(x, y))
         out[d] = sorted(found, key=lambda e: (e.x, e.y))
     return out
 
@@ -395,7 +385,6 @@ def exception_set_union(d_max: int) -> list[tuple[int, QuadInt]]:
     """
     union: list[tuple[int, QuadInt]] = []
     seen_rational: set[int] = set()
-    seen_nonrational: set[tuple[int, int, int]] = set()
     for d in range(1, d_max + 1):
         if not is_squarefree(d):
             continue
@@ -405,10 +394,7 @@ def exception_set_union(d_max: int) -> list[tuple[int, QuadInt]]:
                     seen_rational.add(element.x)
                     union.append((0, element))
             else:
-                key = (d, element.x, element.y)
-                if key not in seen_nonrational:
-                    seen_nonrational.add(key)
-                    union.append((d, element))
+                union.append((d, element))
     union.sort(key=lambda pair: (pair[0], pair[1].x, pair[1].y))
     return union
 

@@ -245,6 +245,15 @@ class TestResidues:
         with pytest.raises(ValueError):
             residue_reduce(P, a, 3)
 
+    def test_rejects_an_element_of_another_field(self, gauss_field, d2_field):
+        P = primes_above(d2_field, 3)[0]
+        a = gauss_field.element(2, 1)
+        for m in (1, 2):
+            with pytest.raises(ValueError, match="different fields"):
+                residue_reduce(P, a, m)
+            with pytest.raises(ValueError, match="different fields"):
+                residue_pow(a, 2, P, m)
+
     def test_order_matches_stepping(self, gauss_field, d2_field, rational_field):
         cases = [
             (gauss_field.element(2, 1), gauss_field),

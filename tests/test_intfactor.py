@@ -142,6 +142,19 @@ class TestFactorize:
         assert result.complete
         assert result.factors == {15485867: 3}
 
+    def test_certified_prime_leaves_no_copy_in_the_cofactor(self):
+        # rho splits off 101 and cannot split the other piece, 101 * 541
+        result = factorize(101**2 * 541, FactorBudget(trial_limit=2, rho_iterations=1))
+        assert result.factors == {101: 2}
+        assert result.cofactor == 541
+
+    @given(st.integers(min_value=2, max_value=10**9))
+    def test_tiny_budget_exponents_are_exact(self, n):
+        result = factorize(n, FactorBudget(trial_limit=2, rho_iterations=1))
+        assert reassembled(result) == n
+        for p, e in result.factors.items():
+            assert e == padic_valuation(n, p)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)

@@ -5,15 +5,19 @@ u + v*sqrt(-d) with u, v integers or half-integers (2u, 2v stored), a
 representation independent of the omega basis used by the package.
 """
 
+from functools import reduce
 from math import isqrt
+from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wieferich import BaseClass, FieldSpec, InexactDivisionError, QuadInt, classify_base, is_squarefree
-from wieferich.qfield import BASIS_HALF, BASIS_SQRT
+from wieferich.qfield import BASIS_HALF, BASIS_SQRT, embedding_magnitude_sq
 
 FIELD_DS = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15]
+# d = 0 is the rational mode, whose elements take y = 0
+RING_DS = [0, *FIELD_DS]
 
 
 def doubled(a: QuadInt) -> tuple[int, int, int]:
@@ -39,6 +43,10 @@ def oracle_norm(a: QuadInt) -> int:
 
 
 small_ints = st.integers(min_value=-50, max_value=50)
+
+
+def ring_element(d: int, x: int, y: int) -> QuadInt:
+    return FieldSpec.from_d(d).element(x, 0 if d == 0 else y)
 
 
 class TestFieldSpec:
@@ -98,10 +106,9 @@ class TestFieldSpec:
 
 
 class TestArithmetic:
-    @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(FIELD_DS))
+    @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(RING_DS))
     def test_mul_matches_doubled_oracle(self, x1, y1, x2, y2, d):
-        F = FieldSpec.from_d(d)
-        a, b = F.element(x1, y1), F.element(x2, y2)
+        a, b = ring_element(d, x1, y1), ring_element(d, x2, y2)
         pu, pv, _ = doubled(a * b)
         # doubled coords of the product are half the product of doubled coords
         assert (2 * pu, 2 * pv) == oracle_mul(a, b)
@@ -112,13 +119,16 @@ class TestArithmetic:
         assert a.norm() == oracle_norm(a)
         assert a.abs_norm() == abs(oracle_norm(a))
 
-    @given(small_ints, small_ints, st.sampled_from(FIELD_DS))
+    @given(small_ints, small_ints, st.sampled_from(RING_DS))
     def test_conjugate_involution_and_norm(self, x, y, d):
-        a = FieldSpec.from_d(d).element(x, y)
+        a = ring_element(d, x, y)
         c = a.conjugate()
         assert c.conjugate() == a
         assert (a * c).y == 0
-        assert (a * c).x == a.norm()
+        # a times its conjugate is |sigma(a)|^2: the norm in degree two, x^2 in rational
+        # mode, whose norm is the signed x itself
+        assert (a * c).x == embedding_magnitude_sq(a)
+        assert a.norm() == (a.x if d == 0 else (a * c).x)
 
     @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(FIELD_DS))
     def test_norm_multiplicative(self, x1, y1, x2, y2, d):
@@ -126,10 +136,9 @@ class TestArithmetic:
         a, b = F.element(x1, y1), F.element(x2, y2)
         assert (a * b).norm() == a.norm() * b.norm()
 
-    @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(FIELD_DS))
+    @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(RING_DS))
     def test_exact_div_roundtrip(self, x1, y1, x2, y2, d):
-        F = FieldSpec.from_d(d)
-        a, b = F.element(x1, y1), F.element(x2, y2)
+        a, b = ring_element(d, x1, y1), ring_element(d, x2, y2)
         if b.is_zero:
             return
         assert (a * b).exact_div(b) == a
@@ -152,6 +161,18 @@ class TestArithmetic:
         assert a**5 == a * a * a * a * a
         with pytest.raises(ValueError):
             a ** (-1)
+
+    @given(small_ints, small_ints, st.integers(min_value=0, max_value=30),
+           st.integers(min_value=1, max_value=200), st.sampled_from([0, 1, 2, 3, 7, 11]))
+    @example(x=2, y=1, e=0, mod=1, d=1)
+    @example(x=2, y=1, e=0, mod=7, d=3)
+    @example(x=-3, y=5, e=9, mod=1, d=7)
+    @example(x=-5, y=0, e=4, mod=9, d=0)
+    def test_modular_pow_reduces_the_power(self, x, y, e, mod, d):
+        a = ring_element(d, x, y)
+        power = a**e
+        assert power == reduce(mul, [a] * e, a.field.one())
+        assert pow(a, e, mod) == a.field.element(power.x % mod, power.y % mod)
 
     def test_signed_rational_norm(self):
         R = FieldSpec.rational()
