@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -28,6 +29,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _EXTRA_PROBABLE_ROUNDS = 16
 _MAX_CERT_DEPTH = 6
 _TRIAL_BLOCK = 512
+_SIEVE_SEGMENT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,33 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return tuple(compress(range(limit + 1), sieve))
+
+
+def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT) -> Iterator[int]:
+    """Yield the primes <= bound in increasing order from a segmented sieve.
+
+    Each segment is a bytearray over `segment` consecutive odd numbers, crossed
+    off by the odd primes <= sqrt(bound), so memory stays flat as bound grows.
+    """
+    if bound < 2:
+        return
+    yield 2
+    sieving = primes_up_to(math.isqrt(bound))[1:]
+    for lo in range(3, bound + 1, 2 * segment):
+        hi = min(lo + 2 * segment, bound + 1)
+        size = (hi - lo + 1) // 2  # slot i stands for lo + 2*i
+        marks = bytearray(b"\x01") * size
+        for p in sieving:
+            first = p * p
+            if first >= hi:
+                break
+            if first < lo:
+                first = lo + (-lo) % p
+                if first % 2 == 0:
+                    first += p
+            start = (first - lo) // 2
+            marks[start::p] = bytes(len(range(start, size, p)))
+        yield from compress(range(lo, hi, 2), marks)
 
 
 @lru_cache(maxsize=8)

@@ -6,24 +6,36 @@ below pulls guaranteed non-Wieferich places out of the squarefree part of
 (a^n - 1), tracks first occurrences across cyclotomic levels, and counts
 places whose norms fall in a fixed residue class, with every claimed property
 re-checked at emission time.
+
+The Wieferich scan makes one pass over a segmented sieve, so its memory stays
+flat as the bound grows, and sorts each odd unramified p by Euler's criterion
+on the discriminant.  A split place costs one built-in pow mod p**2 after a
+lifted square root; an inert place costs one pair power a**(p+1) and one
+built-in pow.  p = 2 and ramified p go through is_wieferich_place, the
+single-place reference, and only the hits get a full report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
 from .cyclo import CycloFactorCache, _cache_for, decompose
 from .ideals import (
     BudgetExhausted,
+    KIND_INERT,
     KIND_RAMIFIED,
+    KIND_RATIONAL,
+    KIND_SPLIT,
     PrimeIdeal,
     is_unit_mod,
     primes_above,
     residue_order,
     residue_pow,
+    sqrt_mod_prime,
 )
-from .intfactor import FactorBudget, primes_up_to
+from .intfactor import FactorBudget, _prime_stream, primes_up_to
 from .qfield import BaseClass, InvariantViolation, QuadInt, classify_base
 
 
@@ -235,21 +247,94 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     return result
 
 
+def _pair_pow(x: int, y: int, e: int, mod: int, trace: int, nm: int) -> tuple[int, int]:
+    """(x + y*w)**e mod `mod` as a coordinate pair, e >= 1, with w**2 = trace*w - nm.
+
+    Left-to-right, so each multiplication is by the unreduced base itself.
+    """
+    rx, ry = x % mod, y % mod
+    for bit in bin(e)[3:]:
+        yy = ry * ry
+        rx, ry = (rx * rx - nm * yy) % mod, (2 * rx * ry + trace * yy) % mod
+        if bit == "1":
+            yy = ry * y
+            rx, ry = (rx * x - nm * yy) % mod, (rx * y + ry * x + trace * yy) % mod
+    return rx, ry
+
+
+def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdeal], int]:
+    """The Wieferich places above the given primes, and how many places were tested.
+
+    Places where a is not a unit are skipped.  p = 2 and ramified p go through
+    is_wieferich_place; every other place is tested on raw integers.  A split
+    p takes one square root of the discriminant, lifted to p**2 by one Newton
+    step, and one built-in pow per place.  An inert p uses Frobenius,
+    a**p == conj(a) mod p, so b = a**(p+1) is rational mod p and a**(p*p-1)
+    == b**(p-1) == 1 mod p**2 exactly when b's w-coordinate vanishes mod p**2
+    and b's rational coordinate passes the rational test.
+    """
+    field = a.field
+    x, y = a.x, a.y
+    hits: list[PrimeIdeal] = []
+    tested = 0
+
+    def by_reference(p: int) -> None:
+        nonlocal tested
+        for P in primes_above(field, p):
+            if is_unit_mod(P, a):
+                tested += 1
+                if is_wieferich_place(P, a):
+                    hits.append(P)
+
+    if field.is_rational:
+        for p in primes:
+            if p == 2:
+                by_reference(p)
+            elif x % p:
+                tested += 1
+                if pow(x, p - 1, p * p) == 1:
+                    hits.append(PrimeIdeal(field, p, KIND_RATIONAL))
+        return hits, tested
+    trace, nm, disc = field.omega_trace, field.omega_norm, field.discriminant
+    for p in primes:
+        # Euler's criterion: 1 split, p - 1 inert, 0 ramified (p = 2 joins those)
+        euler = pow(disc, (p - 1) >> 1, p) if p > 2 else 0
+        if euler == 0:
+            by_reference(p)
+            continue
+        pp = p * p
+        if euler == 1:
+            t = (trace + sqrt_mod_prime(disc, p)) * ((p + 1) >> 1) % p
+            # one Newton step lifts the root t of w**2 - trace*w + nm to p**2
+            root = (t - (t * t - trace * t + nm) * pow(2 * t - trace, -1, p)) % pp
+            lifts = ((t, root), ((trace - t) % p, (trace - root) % pp))
+            for t, root in sorted(lifts):
+                u = (x + y * root) % pp
+                if u % p:
+                    tested += 1
+                    if pow(u, p - 1, pp) == 1:
+                        hits.append(PrimeIdeal(field, p, KIND_SPLIT, t))
+        elif x % p or y % p:
+            tested += 1
+            bx, by = _pair_pow(x, y, p + 1, pp, trace, nm)
+            if by == 0 and pow(bx, p - 1, pp) == 1:
+                hits.append(PrimeIdeal(field, p, KIND_INERT))
+    return hits, tested
+
+
 def scan_wieferich_places(a: QuadInt, p_bound: int,
                           budget: FactorBudget | None = None) -> tuple[list[PlaceReport], int]:
     """Classify every place of residue characteristic <= p_bound coprime to a.
 
-    Returns (Wieferich hits as full reports, number of places tested).
+    Returns (Wieferich hits as full reports, number of places tested).  One
+    pass of _wieferich_kernel over a streaming sieve decides every place, and
+    only the hits get a report, whose verdict comes from is_wieferich_place.
     """
-    hits: list[PlaceReport] = []
-    tested = 0
-    for p in primes_up_to(p_bound):
-        for P in primes_above(a.field, p):
-            try:
-                wieferich = is_wieferich_place(P, a)
-            except ValueError:
-                continue  # the base lies in this place
-            tested += 1
-            if wieferich:
-                hits.append(place_report(P, a, budget))
+    if p_bound < 2:
+        raise ValueError("p_max must be >= 2")
+    places, tested = _wieferich_kernel(a, _prime_stream(p_bound))
+    hits = [place_report(P, a, budget) for P in places]
+    for report in hits:
+        if not report.wieferich:
+            raise InvariantViolation(f"the scan kernel and the place test disagree at {report.place.label()}")
     return hits, tested

@@ -77,6 +77,13 @@ class TestClassifyCommand:
         assert [line["p"] for line in lines[:-1]] == [1093, 3511]
         assert lines[-1]["summary"]["wieferich_count"] == 2
 
+    @pytest.mark.parametrize("p_max", ["0", "1", "-5"])
+    def test_scan_bound_below_two_is_usage_error(self, capsys, p_max):
+        code, out, err = run_cli(["classify", "-d", "1", "-a", "2,1", f"--p-max={p_max}"], capsys)
+        assert code == 1
+        assert err == "error: p_max must be >= 2\n"
+        assert out == ""
+
     def test_prime_and_pmax_conflict(self, capsys):
         code, _, err = run_cli(
             ["classify", "-d", "1", "-a", "2,1", "--prime", "5", "--p-max", "10"], capsys

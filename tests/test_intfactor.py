@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from wieferich import FactorBudget, certify_prime, factorize, is_probable_prime
 from wieferich.intfactor import (
     DETERMINISTIC_MR_BOUND,
+    _SIEVE_SEGMENT,
+    _prime_stream,
     padic_valuation,
     perfect_power,
     primes_up_to,
@@ -50,6 +52,24 @@ class TestPrimality:
     def test_sieve_matches_naive(self):
         for limit in (0, 1, 2, 3, 200, 10**4):
             assert list(primes_up_to(limit)) == [p for p in range(2, limit + 1) if naive_prime(p)]
+
+    def test_stream_matches_sieve(self):
+        for bound in (0, 1, 2, 3, 10**5):
+            assert list(_prime_stream(bound)) == list(primes_up_to(bound)), bound
+
+    @pytest.mark.parametrize("segment", [1, 2, 7, _SIEVE_SEGMENT])
+    def test_stream_at_segment_edges(self, segment):
+        # segment k covers the odd numbers from 3 + 2*segment*k up to the next edge
+        edges = [3 + 2 * segment * k for k in (1, 2, 3)]
+        for bound in {edge + delta for edge in edges for delta in (-1, 0, 1)}:
+            assert list(_prime_stream(bound, segment)) == list(primes_up_to(bound)), bound
+
+    @pytest.mark.parametrize("segment", [7, _SIEVE_SEGMENT])
+    def test_stream_at_largest_base_prime_square(self, segment):
+        # at bound q*q the largest sieving prime q crosses off the bound itself
+        for q in (7, 13, 313, 317):
+            for bound in (q * q - 1, q * q, q * q + 1):
+                assert list(_prime_stream(bound, segment)) == list(primes_up_to(bound)), bound
 
     def test_known_composites_and_primes(self):
         assert is_probable_prime(2**61 - 1)

@@ -1,5 +1,7 @@
 """Wieferich classification, the census, and its first-occurrence bookkeeping."""
 
+import tracemalloc
+from functools import partial
 from math import gcd
 
 import pytest
@@ -9,6 +11,7 @@ from wieferich import (
     FactorBudget,
     FieldSpec,
     KIND_INERT,
+    KIND_RAMIFIED,
     KIND_SPLIT,
     STRATEGY_PRIME_LEVELS,
     census,
@@ -21,8 +24,9 @@ from wieferich import (
     primes_above,
     scan_wieferich_places,
 )
-from wieferich import ideals, places
-from wieferich.intfactor import padic_valuation
+from wieferich import ideals, intfactor, places
+from wieferich.ideals import is_unit_mod
+from wieferich.intfactor import padic_valuation, primes_up_to
 from wieferich.places import CensusResult
 
 
@@ -72,13 +76,49 @@ class TestWieferichTest:
                 report = place_report(P, a)
                 assert (P.norm - 1) % report.order == 0
 
-    def test_scan_keeps_lifted_roots_bounded(self, base_2i):
+    def test_lifted_root_cache_stays_bounded(self, gauss_field):
         misses = ideals._lifted_root.cache_info().misses
-        scan_wieferich_places(base_2i, 2 * 10**4)
+        for p in primes_up_to(2 * 10**4):
+            for P in primes_above(gauss_field, p):
+                if P.kind == KIND_SPLIT:
+                    ideals.lifted_root(P, 2)
         info = ideals._lifted_root.cache_info()
-        # the scan lifts a root at more places than the cache keeps
+        # more distinct split places than the cache keeps
         assert info.misses - misses > 1024
         assert info.currsize <= 1024
+
+    def test_scan_adds_no_lifted_roots(self, gauss_field):
+        # 4+i has no Wieferich place below 2*10**4, so no report lifts a root either
+        before = ideals._lifted_root.cache_info()
+        hits, tested = scan_wieferich_places(gauss_field.element(4, 1), 2 * 10**4)
+        after = ideals._lifted_root.cache_info()
+        assert (hits, tested) == ([], 3386)
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_scan_rejects_bound_below_two(self, base_2i):
+        for bound in (1, 0, -7):
+            with pytest.raises(ValueError, match="p_max must be >= 2"):
+                scan_wieferich_places(base_2i, bound)
+
+    def test_scan_memory_stays_flat(self, rational_field, monkeypatch):
+        # tracemalloc slows every pow about 30-fold, so the scan runs to 10**4 and
+        # 10**5 on segments of 1024 odd numbers: both bounds span many segments
+        monkeypatch.setattr(places, "_prime_stream", partial(intfactor._prime_stream, segment=1024))
+        two = rational_field.element(2)
+        # a small trial limit keeps the hits' order computations off the big sieve;
+        # this first scan builds what they use
+        budget = FactorBudget(trial_limit=1000)
+        scan_wieferich_places(two, 4000, budget)
+        peaks = []
+        for bound in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                hits, _ = scan_wieferich_places(two, bound, budget)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert [r.place.p for r in hits] == [1093, 3511]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_scan_finds_norm_17_example(self, gauss_field):
         # (2+i)**16 == 1 mod (17, split, 4)**2: substituting the lifted root 38
@@ -94,6 +134,67 @@ class TestWieferichTest:
             for P in primes_above(gauss_field, p)
             if not element_valuation(P, a)
         )
+
+
+def reference_scan(a, p):
+    """(Wieferich places, places tested) above p by the single-place reference."""
+    verdicts = [(P, is_wieferich_place(P, a)) for P in primes_above(a.field, p) if is_unit_mod(P, a)]
+    return [P for P, wieferich in verdicts if wieferich], len(verdicts)
+
+
+# Per ring, bases that lie in a split, an inert and a ramified place (in that
+# order where the ring has an odd ramified prime), plus a few units everywhere
+# else; base 2 in Z[i] also has the inert Wieferich place above 3511.
+KERNEL_BASES = {
+    0: [(2,), (3,), (-5,), (6,)],
+    1: [(2, 1), (3, 0), (1, 1), (2, 0), (-3, 4)],
+    2: [(1, 1), (5, 0), (0, 1), (-3, 2)],
+    3: [(2, 1), (5, 0), (1, 1), (2, 0)],
+    7: [(1, 2), (3, 0), (-1, 2), (1, 1)],
+    11: [(0, 1), (7, 0), (-1, 2), (2, -1)],
+}
+
+
+class TestScanKernel:
+    """The scan kernel decides every place exactly as is_wieferich_place does."""
+
+    @pytest.mark.parametrize("d", sorted(KERNEL_BASES))
+    def test_matches_reference_on_every_place(self, d):
+        field = FieldSpec.from_d(d)
+        outside = set()
+        for coords in KERNEL_BASES[d]:
+            a = field.element(*coords)
+            for p in primes_up_to(10**4):
+                assert places._wieferich_kernel(a, [p]) == reference_scan(a, p), (coords, p)
+                outside.update(P.kind for P in primes_above(field, p) if not is_unit_mod(P, a))
+        if d:
+            assert outside == {KIND_SPLIT, KIND_INERT, KIND_RAMIFIED}
+
+    def test_natural_inert_hit(self, gauss_field):
+        (P,) = primes_above(gauss_field, 3511)
+        assert P.kind == KIND_INERT
+        assert places._wieferich_kernel(gauss_field.element(2), [3511]) == ([P], 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_forced_inert_wieferich_elements(self, d):
+        field = FieldSpec.from_d(d)
+        inert = [p for p in primes_up_to(100)[1:] if primes_above(field, p)[0].kind == KIND_INERT]
+        assert inert
+        for p in inert:
+            pp = p * p
+            (P,) = primes_above(field, p)
+            for t in (2, 3, 5, 7):
+                if t % p == 0:
+                    continue
+                c = pow(t, p, pp)  # c**(p-1) == 1 mod p**2
+                # a == c mod p**2 O: a**(p+1) has w-coordinate 0 mod p**2
+                for a in (field.element(c), field.element(c + pp, pp), field.element(c - 3 * pp, -2 * pp)):
+                    assert reference_scan(a, p) == ([P], 1)
+                    assert places._wieferich_kernel(a, [p]) == ([P], 1)
+                # c + p*w passes the rational test on its norm but not the w-coordinate test
+                a = field.element(c, p)
+                assert reference_scan(a, p) == ([], 1)
+                assert places._wieferich_kernel(a, [p]) == ([], 1)
 
 
 class TestSquarefreeRoute:
