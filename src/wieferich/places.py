@@ -307,13 +307,14 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
             t = (trace + sqrt_mod_prime(disc, p)) * ((p + 1) >> 1) % p
             # one Newton step lifts the root t of w**2 - trace*w + nm to p**2
             root = (t - (t * t - trace * t + nm) * pow(2 * t - trace, -1, p)) % pp
+            # the conjugate place has root trace - t, lifted to trace - root
             lifts = ((t, root), ((trace - t) % p, (trace - root) % pp))
-            for t, root in sorted(lifts):
-                u = (x + y * root) % pp
+            for place_t, lift in sorted(lifts):
+                u = (x + y * lift) % pp
                 if u % p:
                     tested += 1
                     if pow(u, p - 1, pp) == 1:
-                        hits.append(PrimeIdeal(field, p, KIND_SPLIT, t))
+                        hits.append(PrimeIdeal(field, p, KIND_SPLIT, place_t))
         elif x % p or y % p:
             tested += 1
             bx, by = _pair_pow(x, y, p + 1, pp, trace, nm)
@@ -332,9 +333,11 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
     """
     if p_bound < 2:
         raise ValueError("p_max must be >= 2")
-    places, tested = _wieferich_kernel(a, _prime_stream(p_bound))
-    hits = [place_report(P, a, budget) for P in places]
+    found, tested = _wieferich_kernel(a, _prime_stream(p_bound))
+    hits = [place_report(P, a, budget) for P in found]
     for report in hits:
         if not report.wieferich:
-            raise InvariantViolation(f"the scan kernel and the place test disagree at {report.place.label()}")
+            raise InvariantViolation(
+                f"the scan kernel and the place test disagree at {report.place.label()}"
+            )
     return hits, tested

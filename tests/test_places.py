@@ -95,11 +95,6 @@ class TestWieferichTest:
         assert (hits, tested) == ([], 3386)
         assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
-    def test_scan_rejects_bound_below_two(self, base_2i):
-        for bound in (1, 0, -7):
-            with pytest.raises(ValueError, match="p_max must be >= 2"):
-                scan_wieferich_places(base_2i, bound)
-
     def test_scan_memory_stays_flat(self, rational_field, monkeypatch):
         # tracemalloc slows every pow about 30-fold, so the scan runs to 10**4 and
         # 10**5 on segments of 1024 odd numbers: both bounds span many segments
