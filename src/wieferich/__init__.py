@@ -30,7 +30,6 @@ from .ideals import (
     element_valuation,
     factor_principal,
     primes_above,
-    residue_identity,
     residue_order,
     residue_pow,
     residue_reduce,
@@ -116,7 +115,6 @@ __all__ = [
     "mobius",
     "place_report",
     "primes_above",
-    "residue_identity",
     "residue_order",
     "residue_pow",
     "residue_reduce",

@@ -11,7 +11,6 @@ element's norm demands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .intfactor import FactorBudget, factorize, is_probable_prime, padic_valuation
 from .qfield import FieldSpec, InvariantViolation, QuadInt
@@ -136,11 +135,12 @@ def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     return (PrimeIdeal(field, p, KIND_INERT),)
 
 
-@lru_cache(maxsize=1024)
-def _lifted_root(field: FieldSpec, p: int, t: int, precision: int) -> int:
-    """Newton-lift the simple root t of x^2 - trace*x + norm mod p to mod p**precision."""
-    trace, nm = field.omega_trace, field.omega_norm
-    root = t % p
+def lifted_root(P: PrimeIdeal, precision: int) -> int:
+    """Newton-lift P's simple root t of x^2 - trace*x + norm mod p to mod p**precision."""
+    if P.kind != KIND_SPLIT:
+        raise ValueError("root lifting applies to split primes only")
+    trace, nm, p = P.field.omega_trace, P.field.omega_norm, P.p
+    root = P.t
     prec = 1
     while prec < precision:
         prec = min(2 * prec, precision)
@@ -150,12 +150,6 @@ def _lifted_root(field: FieldSpec, p: int, t: int, precision: int) -> int:
         fder = (2 * root - trace) % mod
         root = (root - fval * pow(fder, -1, mod)) % mod
     return root
-
-
-def lifted_root(P: PrimeIdeal, precision: int) -> int:
-    if P.kind != KIND_SPLIT:
-        raise ValueError("root lifting applies to split primes only")
-    return _lifted_root(P.field, P.p, P.t, precision)
 
 
 def _check_field(P: PrimeIdeal, gamma: QuadInt) -> None:
@@ -199,15 +193,11 @@ def _residue_model(P: PrimeIdeal, m: int) -> tuple[int, int | None]:
     if m == 1:
         return P.p, P.t
     if P.kind == KIND_SPLIT:
-        return P.p**m, _lifted_root(P.field, P.p, P.t, m)
+        return P.p**m, lifted_root(P, m)
     if m % 2 == 0:
         # P**m is generated by the rational prime power p**(m/2)
         return P.p ** (m // 2), None
     raise ValueError("odd precision above 1 at a ramified prime has no plain integer model")
-
-
-def residue_identity(P: PrimeIdeal, m: int = 1):
-    return (1, 0) if _residue_model(P, m)[1] is None else 1
 
 
 def residue_reduce(P: PrimeIdeal, gamma: QuadInt, m: int = 1):

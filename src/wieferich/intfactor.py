@@ -1,11 +1,11 @@
 """Effort-bounded integer factorization with honest primality reporting.
 
-Factorization runs trial division over a cached prime sieve, then perfect
-power peeling, then Brent's rho with batched gcds, all under an explicit
-budget.  Trial division takes batched gcds over prime blocks (Bernstein, "How
-to find small factors of integers", 2002): one gcd against the product of
-each block of consecutive primes, and division prime by prime only inside a
-block whose gcd exceeds 1.
+Factorization runs trial division over the primes of a segmented sieve of
+Eratosthenes, then perfect power peeling, then Brent's rho with batched gcds,
+all under an explicit budget.  Trial division takes batched gcds over prime
+blocks (Bernstein, "How to find small factors of integers", 2002): one gcd
+against the product of each block of consecutive primes, and division prime
+by prime only inside a block whose gcd exceeds 1.
 
 Primality is certified, never assumed: below the published deterministic
 Miller-Rabin bound the fixed-base test is exact, above it a Pocklington
@@ -63,15 +63,8 @@ class FactorResult:
 
 @lru_cache(maxsize=8)
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, by sieve of Eratosthenes."""
-    if limit < 2:
-        return ()
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return tuple(compress(range(limit + 1), sieve))
+    """All primes <= limit, from the segmented sieve."""
+    return tuple(_prime_stream(limit))
 
 
 def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT) -> Iterator[int]:
@@ -79,6 +72,7 @@ def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT) -> Iterator[int]:
 
     Each segment is a bytearray over `segment` consecutive odd numbers, crossed
     off by the odd primes <= sqrt(bound), so memory stays flat as bound grows.
+    Those come from primes_up_to(isqrt(bound)), a recursion that ends below 2.
     """
     if bound < 2:
         return

@@ -11,7 +11,8 @@ The Wieferich scan makes one pass over a segmented sieve, so its memory stays
 flat as the bound grows, and sorts each odd unramified p by Euler's criterion
 on the discriminant.  A split place costs one built-in pow mod p**2 after a
 lifted square root; an inert place costs one pair power a**(p+1) and one
-built-in pow.  p = 2 and ramified p go through is_wieferich_place, the
+built-in pow; rational mode, p = 2 included, is one built-in pow per place.
+Quadratic p = 2 and ramified p go through is_wieferich_place, the
 single-place reference, and only the hits get a full report.
 """
 
@@ -36,7 +37,7 @@ from .ideals import (
     sqrt_mod_prime,
 )
 from .intfactor import FactorBudget, _prime_stream, primes_up_to
-from .qfield import BaseClass, InvariantViolation, QuadInt, classify_base
+from .qfield import BaseClass, InvariantViolation, QuadInt, _pair_pow, classify_base
 
 
 def is_wieferich_place(P: PrimeIdeal, a: QuadInt) -> bool:
@@ -247,26 +248,12 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     return result
 
 
-def _pair_pow(x: int, y: int, e: int, mod: int, trace: int, nm: int) -> tuple[int, int]:
-    """(x + y*w)**e mod `mod` as a coordinate pair, e >= 1, with w**2 = trace*w - nm.
-
-    Left-to-right, so each multiplication is by the unreduced base itself.
-    """
-    rx, ry = x % mod, y % mod
-    for bit in bin(e)[3:]:
-        yy = ry * ry
-        rx, ry = (rx * rx - nm * yy) % mod, (2 * rx * ry + trace * yy) % mod
-        if bit == "1":
-            yy = ry * y
-            rx, ry = (rx * x - nm * yy) % mod, (rx * y + ry * x + trace * yy) % mod
-    return rx, ry
-
-
 def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdeal], int]:
     """The Wieferich places above the given primes, and how many places were tested.
 
-    Places where a is not a unit are skipped.  p = 2 and ramified p go through
-    is_wieferich_place; every other place is tested on raw integers.  A split
+    Places where a is not a unit are skipped.  In a quadratic ring p = 2 and
+    ramified p go through is_wieferich_place; every other place is tested on
+    raw integers, with rational p = 2 as pow(a, 1, 4) == 1.  A split
     p takes one square root of the discriminant, lifted to p**2 by one Newton
     step, and one built-in pow per place.  An inert p uses Frobenius,
     a**p == conj(a) mod p, so b = a**(p+1) is rational mod p and a**(p*p-1)
@@ -277,20 +264,9 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
     x, y = a.x, a.y
     hits: list[PrimeIdeal] = []
     tested = 0
-
-    def by_reference(p: int) -> None:
-        nonlocal tested
-        for P in primes_above(field, p):
-            if is_unit_mod(P, a):
-                tested += 1
-                if is_wieferich_place(P, a):
-                    hits.append(P)
-
     if field.is_rational:
         for p in primes:
-            if p == 2:
-                by_reference(p)
-            elif x % p:
+            if x % p:
                 tested += 1
                 if pow(x, p - 1, p * p) == 1:
                     hits.append(PrimeIdeal(field, p, KIND_RATIONAL))
@@ -300,7 +276,11 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
         # Euler's criterion: 1 split, p - 1 inert, 0 ramified (p = 2 joins those)
         euler = pow(disc, (p - 1) >> 1, p) if p > 2 else 0
         if euler == 0:
-            by_reference(p)
+            for P in primes_above(field, p):
+                if is_unit_mod(P, a):
+                    tested += 1
+                    if is_wieferich_place(P, a):
+                        hits.append(P)
             continue
         pp = p * p
         if euler == 1:

@@ -7,6 +7,8 @@ A degenerate rational mode (the ring is plain Z, trivial conjugation) lets
 the same pipelines run against ordinary integers.  Every ring is Z[w] with
 w^2 = T*w - N (T = omega_trace, N = omega_norm; T = N = 0 and y = 0 in
 rational mode), so products, conjugates, norms and powers follow one rule.
+Powers, exact or modular, come from _pair_pow, the package's one
+left-to-right square-and-multiply on raw coordinate pairs.
 
 Everything here is immutable and pure; no floating point appears anywhere.
 """
@@ -147,6 +149,27 @@ class FieldSpec:
         return "Q" if self.is_rational else f"Q(sqrt(-{self.d}))"
 
 
+def _pair_pow(x: int, y: int, e: int, mod: int | None, trace: int, nm: int) -> tuple[int, int]:
+    """(x + y*w)**e as a coordinate pair, e >= 0, with w**2 = trace*w - nm.
+
+    The package's one square-and-multiply.  Left to right, so each
+    multiplication is by the base itself; mod=None gives the exact power,
+    otherwise both coordinates are reduced mod `mod` once per exponent bit.
+    """
+    rx, ry = (x, y) if e else (1, 0)
+    if mod is not None:
+        rx, ry = rx % mod, ry % mod
+    for bit in bin(e)[3:]:  # empty for e in (0, 1)
+        yy = ry * ry
+        rx, ry = rx * rx - nm * yy, 2 * rx * ry + trace * yy
+        if bit == "1":
+            yy = ry * y
+            rx, ry = rx * x - nm * yy, rx * y + ry * x + trace * yy
+        if mod is not None:
+            rx, ry = rx % mod, ry % mod
+    return rx, ry
+
+
 @dataclass(frozen=True)
 class QuadInt:
     """An algebraic integer x + y*w in the fixed integral basis of its field."""
@@ -201,22 +224,7 @@ class QuadInt:
         if e < 0:
             raise ValueError("negative exponents leave the ring")
         f = self.field
-        trace, nm = f.omega_trace, f.omega_norm
-        x, y = self.x, self.y
-        rx, ry = 1 if mod is None else 1 % mod, 0
-        while e:
-            if e & 1:
-                yy = ry * y
-                rx, ry = rx * x - nm * yy, rx * y + ry * x + trace * yy
-                if mod is not None:
-                    rx, ry = rx % mod, ry % mod
-            e >>= 1
-            if e:
-                yy = y * y
-                x, y = x * x - nm * yy, 2 * x * y + trace * yy
-                if mod is not None:
-                    x, y = x % mod, y % mod
-        return QuadInt(rx, ry, f)
+        return QuadInt(*_pair_pow(self.x, self.y, e, mod, f.omega_trace, f.omega_norm), f)
 
     def conjugate(self) -> QuadInt:
         # the conjugate of w is trace - w
