@@ -127,9 +127,9 @@ def _env_int(name: str, default: int) -> int:
 def _budget_from(args) -> FactorBudget:
     trial, rho = args.trial_limit, args.rho_iterations
     if trial is None:
-        trial = _env_int(ENV_TRIAL_LIMIT, 10**6)
+        trial = _env_int(ENV_TRIAL_LIMIT, FactorBudget.trial_limit)
     if rho is None:
-        rho = _env_int(ENV_RHO_ITERATIONS, 10**6)
+        rho = _env_int(ENV_RHO_ITERATIONS, FactorBudget.rho_iterations)
     return FactorBudget(trial_limit=trial, rho_iterations=rho)
 
 

@@ -5,20 +5,17 @@ Phi_n(a) is evaluated through the Mobius product prod over d | n of
 needed at large n.  Zero and magnitude-one bases, where that product
 degenerates, are rejected.
 
-For a fixed base a the principal ideals (a^n - 1) factor along the exact
-identity (a^n - 1) = prod over d | n of (Phi_d(a)), so a sweep over levels n
-factors each cyclotomic value once and merges.  Primes shared between two
-levels lie over rational primes dividing the larger level.  Below the trial
-division bound they are always found; above a tiny bound one can be certified
-at one level and hidden in another level's cofactor, and then the merge reads
-the exact valuations of its certified primes off a^n - 1.
+For a fixed base a the identity (a^n - 1) = prod over d | n of (Phi_d(a))
+means every prime of (a^n - 1) lies in some divisor level, so a sweep over
+levels n factors each cyclotomic value once, and reads the exact valuations
+of the rational primes certified at the divisor levels off a^n - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .intfactor import FactorBudget, small_factors
 from .ideals import IdealFactorization, _exact_factorization, factor_principal
@@ -118,19 +115,14 @@ class LevelData:
     value: QuadInt
     ideal: IdealFactorization
 
-    @property
-    def complete(self) -> bool:
-        return self.ideal.complete
-
 
 class CycloFactorCache:
-    """Factors Phi_n(a) once per level and assembles (a^n - 1) from divisors."""
+    """Factors Phi_n(a) once per level, for the base a and one effort budget."""
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
             raise ValueError("base must be neither zero nor of magnitude one")
         self.a = a
-        self.field = a.field
         self.budget = budget or FactorBudget()
         self._levels: dict[int, LevelData] = {}
         self._decompositions: list[Decomposition] = []
@@ -140,17 +132,6 @@ class CycloFactorCache:
             value = cyclotomic_eval(n, self.a)
             self._levels[n] = LevelData(n, value, factor_principal(value, self.budget))
         return self._levels[n]
-
-    def power_ideal(self, n: int) -> IdealFactorization:
-        """Factorization of (a^n - 1) merged from all divisor levels."""
-        out = IdealFactorization(self.field)
-        for d in divisors(n):
-            out = out.mul(self.level(d).ideal)
-        primes = {P.p for P in out.exponents}
-        if gcd(out.cofactor, prod(primes)) == 1:
-            return out
-        # a prime certified at one level hides in another level's cofactor
-        return _exact_factorization(self.a**n - 1, sorted(primes))
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""
@@ -214,7 +195,9 @@ def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
     if n < 1:
         raise ValueError("level must be >= 1")
     cache = _cache_for(a, budget, cache)
-    power_ideal = cache.power_ideal(n)
+    power_value = a**n - 1
+    primes = {P.p for d in divisors(n) for P in cache.level(d).ideal.exponents}
+    power_ideal = _exact_factorization(power_value, sorted(primes))
     level = cache.level(n)
     squarefree = power_ideal.squarefree_part()
     powerful = power_ideal.powerful_part()
@@ -227,7 +210,7 @@ def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
     return Decomposition(
         a=a,
         n=n,
-        power_value=a**n - 1,
+        power_value=power_value,
         power_ideal=power_ideal,
         level_value=level.value,
         level_ideal=level.ideal,

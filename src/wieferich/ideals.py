@@ -28,29 +28,23 @@ class BudgetExhausted(RuntimeError):
     """A step needed a complete factorization the effort budget could not deliver."""
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) for odd prime p: 1, -1, or 0."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def sqrt_mod_prime(n: int, p: int) -> int:
-    """Tonelli-Shanks square root of a quadratic residue n modulo odd prime p."""
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p by Tonelli-Shanks, or None for a non-residue."""
     n %= p
     if n == 0:
         return 0
-    if legendre_symbol(n, p) != 1:
-        raise ValueError(f"{n} is not a quadratic residue mod {p}")
     if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    half = (p - 1) // 2
+    if pow(n, half, p) != 1:
+        return None
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
     z = 2
-    while legendre_symbol(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
     while t != 1:
@@ -87,12 +81,6 @@ class PrimeIdeal:
     def norm(self) -> int:
         return self.p * self.p if self.kind == KIND_INERT else self.p
 
-    def conjugate(self) -> PrimeIdeal:
-        if self.kind != KIND_SPLIT:
-            return self
-        other = (self.field.omega_trace - self.t) % self.p
-        return PrimeIdeal(self.field, self.p, KIND_SPLIT, other)
-
     def sort_key(self) -> tuple[int, int, int]:
         return (self.p, _KIND_ORDER[self.kind], -1 if self.t is None else self.t)
 
@@ -105,34 +93,44 @@ class PrimeIdeal:
         return self.label()
 
 
+def _place_roots(field: FieldSpec, p: int) -> tuple[int, ...]:
+    """The roots t mod the prime p of w**2 - T*w + N in a quadratic ring.
+
+    Two sorted roots when p splits, the double root when p ramifies, none
+    when p is inert; each root names the place P = (p, w - t).
+    """
+    trace, nm = field.omega_trace, field.omega_norm
+    if p == 2:
+        # T even means p ramifies; with T odd, w**2 + w + N has both roots or none
+        if trace % 2 == 0:
+            return (nm % 2,)
+        return (0, 1) if nm % 2 == 0 else ()
+    inv2 = (p + 1) // 2
+    disc = field.discriminant
+    if disc % p == 0:
+        return (trace * inv2 % p,)
+    s = sqrt_mod_prime(disc, p)
+    if s is None:
+        return ()
+    return tuple(sorted(((trace + s) * inv2 % p, (trace - s) * inv2 % p)))
+
+
+def _places_over(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
+    """The primes of the ring over p, which the caller knows to be prime."""
+    if field.is_rational:
+        return (PrimeIdeal(field, p, KIND_RATIONAL),)
+    roots = _place_roots(field, p)
+    if not roots:
+        return (PrimeIdeal(field, p, KIND_INERT),)
+    kind = KIND_SPLIT if len(roots) == 2 else KIND_RAMIFIED
+    return tuple(PrimeIdeal(field, p, kind, t) for t in roots)
+
+
 def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     """The primes of the ring over the rational prime p, split pair sorted by t."""
     if p < 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    if field.is_rational:
-        return (PrimeIdeal(field, p, KIND_RATIONAL),)
-    disc = field.discriminant
-    trace = field.omega_trace
-    if disc % p == 0:
-        if p == 2:
-            root = 0 if field.d % 2 == 0 else 1
-        else:
-            root = trace * pow(2, -1, p) % p
-        return (PrimeIdeal(field, p, KIND_RAMIFIED, root),)
-    if p == 2:
-        if disc % 8 == 1:
-            # x^2 - x + N with N even: roots 0 and 1
-            return (
-                PrimeIdeal(field, 2, KIND_SPLIT, 0),
-                PrimeIdeal(field, 2, KIND_SPLIT, 1),
-            )
-        return (PrimeIdeal(field, 2, KIND_INERT),)
-    if legendre_symbol(disc, p) == 1:
-        s = sqrt_mod_prime(disc, p)
-        inv2 = pow(2, -1, p)
-        roots = sorted(((trace + s) * inv2 % p, (trace - s) * inv2 % p))
-        return tuple(PrimeIdeal(field, p, KIND_SPLIT, r) for r in roots)
-    return (PrimeIdeal(field, p, KIND_INERT),)
+    return _places_over(field, p)
 
 
 def lifted_root(P: PrimeIdeal, precision: int) -> int:
@@ -176,8 +174,7 @@ def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
         return full // 2
     if P.kind == KIND_RAMIFIED:
         return full
-    t_lift = lifted_root(P, full)
-    residue = (gamma.x + gamma.y * t_lift) % p**full
+    residue = residue_reduce(P, gamma, full)
     return full if residue == 0 else padic_valuation(residue, p)
 
 
@@ -344,7 +341,7 @@ def _exact_factorization(gamma: QuadInt, rational_primes) -> IdealFactorization:
     nm = gamma.abs_norm()
     exponents: dict[PrimeIdeal, int] = {}
     for p in rational_primes:
-        above = primes_above(field, p)
+        above = _places_over(field, p)
         exponents[above[0]] = element_valuation(above[0], gamma)
         if len(above) == 2:
             # both places above a split p have norm p

@@ -72,12 +72,13 @@ def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT) -> Iterator[int]:
 
     Each segment is a bytearray over `segment` consecutive odd numbers, crossed
     off by the odd primes <= sqrt(bound), so memory stays flat as bound grows.
-    Those come from primes_up_to(isqrt(bound)), a recursion that ends below 2.
+    Those come from the stream itself, a recursion that ends below 2 and
+    leaves primes_up_to's cache alone.
     """
     if bound < 2:
         return
     yield 2
-    sieving = primes_up_to(math.isqrt(bound))[1:]
+    sieving = list(_prime_stream(math.isqrt(bound)))[1:]
     for lo in range(3, bound + 1, 2 * segment):
         hi = min(lo + 2 * segment, bound + 1)
         size = (hi - lo + 1) // 2  # slot i stands for lo + 2*i

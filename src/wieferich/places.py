@@ -8,12 +8,13 @@ places whose norms fall in a fixed residue class, with every claimed property
 re-checked at emission time.
 
 The Wieferich scan makes one pass over a segmented sieve, so its memory stays
-flat as the bound grows, and sorts each odd unramified p by Euler's criterion
-on the discriminant.  A split place costs one built-in pow mod p**2 after a
-lifted square root; an inert place costs one pair power a**(p+1) and one
-built-in pow; rational mode, p = 2 included, is one built-in pow per place.
-Quadratic p = 2 and ramified p go through is_wieferich_place, the
-single-place reference, and only the hits get a full report.
+flat as the bound grows, and sorts each p by the roots of the generator's
+minimal polynomial mod p, the rule primes_above uses.  A split place costs
+one built-in pow mod p**2 after a lifted root; a ramified place costs one
+pair power a**(p-1) mod p; an inert place costs one pair power a**(p+1) and
+one built-in pow; rational mode is one built-in pow per place.  Only the
+hits get a full report, whose verdict is re-checked by is_wieferich_place,
+the single-place reference.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from .ideals import (
     KIND_RATIONAL,
     KIND_SPLIT,
     PrimeIdeal,
+    _place_roots,
     is_unit_mod,
-    primes_above,
     residue_order,
     residue_pow,
-    sqrt_mod_prime,
 )
 from .intfactor import FactorBudget, _prime_stream, primes_up_to
 from .qfield import BaseClass, InvariantViolation, QuadInt, _pair_pow, classify_base
@@ -251,14 +251,15 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
 def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdeal], int]:
     """The Wieferich places above the given primes, and how many places were tested.
 
-    Places where a is not a unit are skipped.  In a quadratic ring p = 2 and
-    ramified p go through is_wieferich_place; every other place is tested on
-    raw integers, with rational p = 2 as pow(a, 1, 4) == 1.  A split
-    p takes one square root of the discriminant, lifted to p**2 by one Newton
-    step, and one built-in pow per place.  An inert p uses Frobenius,
-    a**p == conj(a) mod p, so b = a**(p+1) is rational mod p and a**(p*p-1)
-    == b**(p-1) == 1 mod p**2 exactly when b's w-coordinate vanishes mod p**2
-    and b's rational coordinate passes the rational test.
+    Places where a is not a unit are skipped, and every place is tested on
+    raw integers.  Rational p is one built-in pow mod p**2.  In a quadratic
+    ring the roots from _place_roots tell split, ramified and inert p apart.
+    A split p lifts its root to p**2 by one Newton step and takes one
+    built-in pow per place.  A ramified P has P**2 = pO, so a**(p-1) must be
+    1 as a pair mod p.  An inert p uses Frobenius, a**p == conj(a) mod p, so
+    b = a**(p+1) is rational mod p and a**(p*p-1) == b**(p-1) == 1 mod p**2
+    exactly when b's w-coordinate vanishes mod p**2 and b's rational
+    coordinate passes the rational test.
     """
     field = a.field
     x, y = a.x, a.y
@@ -271,30 +272,26 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
                 if pow(x, p - 1, p * p) == 1:
                     hits.append(PrimeIdeal(field, p, KIND_RATIONAL))
         return hits, tested
-    trace, nm, disc = field.omega_trace, field.omega_norm, field.discriminant
+    trace, nm = field.omega_trace, field.omega_norm
     for p in primes:
-        # Euler's criterion: 1 split, p - 1 inert, 0 ramified (p = 2 joins those)
-        euler = pow(disc, (p - 1) >> 1, p) if p > 2 else 0
-        if euler == 0:
-            for P in primes_above(field, p):
-                if is_unit_mod(P, a):
-                    tested += 1
-                    if is_wieferich_place(P, a):
-                        hits.append(P)
-            continue
+        roots = _place_roots(field, p)
         pp = p * p
-        if euler == 1:
-            t = (trace + sqrt_mod_prime(disc, p)) * ((p + 1) >> 1) % p
+        if len(roots) == 2:
+            t, other = roots
             # one Newton step lifts the root t of w**2 - trace*w + nm to p**2
             root = (t - (t * t - trace * t + nm) * pow(2 * t - trace, -1, p)) % pp
-            # the conjugate place has root trace - t, lifted to trace - root
-            lifts = ((t, root), ((trace - t) % p, (trace - root) % pp))
-            for place_t, lift in sorted(lifts):
+            # the other root is trace - t, lifted to trace - root
+            for place_t, lift in ((t, root), (other, (trace - root) % pp)):
                 u = (x + y * lift) % pp
                 if u % p:
                     tested += 1
                     if pow(u, p - 1, pp) == 1:
                         hits.append(PrimeIdeal(field, p, KIND_SPLIT, place_t))
+        elif roots:
+            if (x + y * roots[0]) % p:
+                tested += 1
+                if _pair_pow(x, y, p - 1, p, trace, nm) == (1, 0):
+                    hits.append(PrimeIdeal(field, p, KIND_RAMIFIED, roots[0]))
         elif x % p or y % p:
             tested += 1
             bx, by = _pair_pow(x, y, p + 1, pp, trace, nm)

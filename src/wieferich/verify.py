@@ -190,7 +190,8 @@ def check_order_consistency_range(a: QuadInt, n_max: int, budget: FactorBudget |
     base is n stripped of its residue-characteristic part, and the norm is 1
     modulo that.  Ramified primes are passed over."""
     report = _report("order-consistency", a, n_max)
-    for dec in _cache_for(a, budget, cache).sweep(n_max):
+    cache = _cache_for(a, budget, cache)
+    for dec in cache.sweep(n_max):
         n = dec.n
         if not dec.level_ideal.complete:
             report.skipped.append({"n": n, "reason": "incomplete factorization"})
@@ -200,7 +201,7 @@ def check_order_consistency_range(a: QuadInt, n_max: int, budget: FactorBudget |
                 continue
             expected = n // P.p ** padic_valuation(n, P.p)
             try:
-                order = residue_order(P, a, budget)
+                order = residue_order(P, a, cache.budget)
             except BudgetExhausted:
                 report.skipped.append({"n": n, "place": P.label(), "reason": "order unresolved"})
                 continue
@@ -229,9 +230,6 @@ class TrendReport:
     entries: list[dict] = dc_field(default_factory=list)
     skipped_levels: list[int] = dc_field(default_factory=list)
     identity_violations: list[int] = dc_field(default_factory=list)
-
-    def complete_levels(self) -> list[int]:
-        return [entry["n"] for entry in self.entries]
 
     def last_quartile_entries(self) -> list[dict]:
         if not self.entries:

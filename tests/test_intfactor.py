@@ -66,6 +66,11 @@ class TestPrimality:
         for limit in (0, 1, 2, 3, 200, 10**4):
             assert list(primes_up_to(limit)) == [p for p in range(2, limit + 1) if naive_prime(p)]
 
+    def test_sieve_fills_one_cache_entry(self):
+        primes_up_to.cache_clear()
+        primes_up_to(10**6)
+        assert primes_up_to.cache_info().currsize == 1
+
     def test_stream_matches_sieve(self):
         for bound in (0, 1, 2, 3, 10**5):
             assert list(_prime_stream(bound)) == full_array_sieve(bound), bound

@@ -156,6 +156,16 @@ class TestScanKernel:
         if d:
             assert outside == {KIND_SPLIT, KIND_INERT, KIND_RAMIFIED}
 
+    def test_hits_cover_every_kind(self):
+        covered = set()
+        for d, bases in KERNEL_BASES.items():
+            field = FieldSpec.from_d(d)
+            for coords in bases:
+                hits, _ = places._wieferich_kernel(field.element(*coords), primes_up_to(10**4))
+                covered.update((P.kind, P.p == 2) for P in hits)
+        for kind in (KIND_SPLIT, KIND_INERT, KIND_RAMIFIED):
+            assert {(kind, True), (kind, False)} <= covered, kind
+
     def test_natural_inert_hit(self, gauss_field):
         (P,) = primes_above(gauss_field, 3511)
         assert P.kind == KIND_INERT

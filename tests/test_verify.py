@@ -124,6 +124,12 @@ class TestBoundChecks:
         report = check_order_consistency_range(base_2i, 12, cache=cache_2i)
         assert report.passed
 
+    def test_order_consistency_uses_the_cache_budget(self, d2_field):
+        a, budget = d2_field.element(2, 1), FactorBudget(1000, 10)
+        by_cache = check_order_consistency_range(a, 40, cache=CycloFactorCache(a, budget))
+        by_budget = check_order_consistency_range(a, 40, budget=budget)
+        assert by_cache.as_dict() == by_budget.as_dict()
+
     def test_order_consistency_rejects_cache_of_another_base(self, base_2i, gauss_field):
         other = CycloFactorCache(gauss_field.element(3, 2))
         with pytest.raises(ValueError, match="cache was built for a different base"):
