@@ -74,17 +74,24 @@ def totient_density_constant(k: int) -> Fraction:
 def high_totient_count(x: int, k: int) -> int:
     """How many n <= x satisfy phi(n*k) > (2/3) * c(k) * n * k, strictly.
 
-    c(k) is totient_density_constant(k); the comparison is cleared of
-    denominators and runs on exact integers, so ties (for instance n = 3,
-    k = 1) are excluded.
+    c(k) is totient_density_constant(k).  With g = gcd(n, k),
+    phi(n*k) = phi(n) * phi(k) * g / phi(g), and g <= n, so one sieve of phi
+    up to x serves every n.  The comparison is multiplied through by phi(g)
+    and cleared of denominators, so it runs on exact integers and ties (for
+    instance n = 3, k = 1) are excluded.
     """
     if x < 1 or k < 1:
         raise ValueError("both arguments must be >= 1")
     c = totient_density_constant(k)
-    phi = totient_sieve(x * k)
-    return sum(
-        1 for n in range(1, x + 1) if 3 * c.denominator * phi[n * k] > 2 * c.numerator * n * k
-    )
+    phi = totient_sieve(x)
+    left = 3 * c.denominator * euler_phi(k)
+    right = 2 * c.numerator * k
+    count = 0
+    for n in range(1, x + 1):
+        g = gcd(n, k)
+        if left * phi[n] * g > right * n * phi[g]:
+            count += 1
+    return count
 
 
 def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:

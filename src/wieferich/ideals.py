@@ -29,12 +29,23 @@ class BudgetExhausted(RuntimeError):
 
 
 def sqrt_mod_prime(n: int, p: int) -> int | None:
-    """A square root of n modulo the odd prime p by Tonelli-Shanks, or None for a non-residue."""
+    """A square root of n modulo the odd prime p, or None for a non-residue.
+
+    One power and a square check at p = 3 mod 4, Atkin's formula (one power
+    and a square check) at p = 5 mod 8, Tonelli-Shanks after an Euler test
+    at p = 1 mod 8.
+    """
     n %= p
     if n == 0:
         return 0
     if p % 4 == 3:
         r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if p % 8 == 5:
+        # 2 is a non-residue, so i = (2n)**((p-1)/4) is a square root of -1 for residue n
+        v = pow(2 * n, (p - 5) // 8, p)
+        i = 2 * n * v * v % p
+        r = n * v * (i - 1) % p
         return r if r * r % p == n else None
     half = (p - 1) // 2
     if pow(n, half, p) != 1:

@@ -11,8 +11,9 @@ The Wieferich scan makes one pass over a segmented sieve, so its memory stays
 flat as the bound grows, and sorts each p by the roots of the generator's
 minimal polynomial mod p, the rule primes_above uses.  A split place costs
 one built-in pow mod p**2 after a lifted root; a ramified place costs one
-pair power a**(p-1) mod p; an inert place costs one pair power a**(p+1) and
-one built-in pow; rational mode is one built-in pow per place.  Only the
+pair power a**(p-1) mod p; an inert place costs one built-in pow on the norm
+of a, and only the rare places that pass it pay a pair power a**(p+1) and
+one more built-in pow; rational mode is one built-in pow per place.  Only the
 hits get a full report, whose verdict is re-checked by is_wieferich_place,
 the single-place reference.
 """
@@ -256,10 +257,13 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
     ring the roots from _place_roots tell split, ramified and inert p apart.
     A split p lifts its root to p**2 by one Newton step and takes one
     built-in pow per place.  A ramified P has P**2 = pO, so a**(p-1) must be
-    1 as a pair mod p.  An inert p uses Frobenius, a**p == conj(a) mod p, so
-    b = a**(p+1) is rational mod p and a**(p*p-1) == b**(p-1) == 1 mod p**2
-    exactly when b's w-coordinate vanishes mod p**2 and b's rational
-    coordinate passes the rational test.
+    1 as a pair mod p.  An inert p first tests the norm: the norm from
+    O/p**2 O to Z/p**2 is multiplicative and Nm(a)**(p*p-1) == Nm(a)**(p-1)
+    mod p**2, so a hit needs Nm(a)**(p-1) == 1 mod p**2, one built-in pow
+    that rejects almost every inert place.  The few that pass use Frobenius,
+    a**p == conj(a) mod p, so b = a**(p+1) is rational mod p and
+    a**(p*p-1) == b**(p-1) == 1 mod p**2 exactly when b's w-coordinate
+    vanishes mod p**2 and b's rational coordinate passes the rational test.
     """
     field = a.field
     x, y = a.x, a.y
@@ -273,6 +277,7 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
                     hits.append(PrimeIdeal(field, p, KIND_RATIONAL))
         return hits, tested
     trace, nm = field.omega_trace, field.omega_norm
+    norm = a.norm()
     for p in primes:
         roots = _place_roots(field, p)
         pp = p * p
@@ -294,6 +299,8 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
                     hits.append(PrimeIdeal(field, p, KIND_RAMIFIED, roots[0]))
         elif x % p or y % p:
             tested += 1
+            if pow(norm, p - 1, pp) != 1:
+                continue
             bx, by = _pair_pow(x, y, p + 1, pp, trace, nm)
             if by == 0 and pow(bx, p - 1, pp) == 1:
                 hits.append(PrimeIdeal(field, p, KIND_INERT))

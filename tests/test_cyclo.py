@@ -186,6 +186,26 @@ class TestTotientDensity:
     def test_small_count_by_hand(self):
         # thresholds: phi(n) > (2/3) n strictly; ties at n = 3, 9 excluded
         assert high_totient_count(10, 1) == 3
+        assert high_totient_count(3, 1) == high_totient_count(2, 1) == 1
+        assert high_totient_count(9, 1) == high_totient_count(8, 1) == 3
+
+    @staticmethod
+    def sieve_count(x, k):
+        """The count read off one totient sieve up to x*k, phi(n*k) taken directly."""
+        c = totient_density_constant(k)
+        phi = cyclo.totient_sieve(x * k)
+        return sum(
+            1 for n in range(1, x + 1) if 3 * c.denominator * phi[n * k] > 2 * c.numerator * n * k
+        )
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 10, 97, 1000])
+    def test_counts_match_sieve_to_x_times_k(self, x):
+        for k in range(1, 31):
+            assert high_totient_count(x, k) == self.sieve_count(x, k), k
+
+    @given(st.integers(1, 500), st.integers(1, 60))
+    def test_counts_match_sieve_property(self, x, k):
+        assert high_totient_count(x, k) == self.sieve_count(x, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_counts_match_naive(self, k):

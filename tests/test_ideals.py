@@ -111,8 +111,11 @@ class TestSplitting:
 
 
 class TestModularHelpers:
-    # 17, 41, 73, 113 and 257 are 1 mod 8, so the non-residue search passes z = 2
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 41, 73, 101, 113, 257, 997])
+    # 17, 41, 73, 113 and 257 are 1 mod 8, so the non-residue search passes z = 2;
+    # 5, 13, 29, 37, 53, 61, 101, 109 and 173 are 5 mod 8 and take Atkin's formula
+    @pytest.mark.parametrize(
+        "p", [3, 5, 7, 11, 13, 17, 29, 37, 41, 53, 61, 73, 101, 109, 113, 173, 257, 997]
+    )
     def test_sqrt_mod_prime(self, p):
         squares = {x * x % p for x in range(p)}
         for n in range(p):

@@ -192,6 +192,27 @@ class TestScanKernel:
                 assert reference_scan(a, p) == ([], 1)
                 assert places._wieferich_kernel(a, [p]) == ([], 1)
 
+    def test_near_miss_reaches_the_pair_power(self, gauss_field, monkeypatch):
+        # the norm test rejects almost every inert place; c + p*w must pass it
+        # and be rejected only by the w-coordinate of a**(p+1)
+        pair_pow, powers = places._pair_pow, []
+
+        def traced_pair_pow(*args):
+            powers.append(pair_pow(*args))
+            return powers[-1]
+
+        monkeypatch.setattr(places, "_pair_pow", traced_pair_pow)
+        for p in (3, 7, 11, 19, 23, 31, 43):
+            pp = p * p
+            assert primes_above(gauss_field, p)[0].kind == KIND_INERT
+            c = pow(2, p, pp)
+            a = gauss_field.element(c, p)
+            assert pow(a.abs_norm(), p - 1, pp) == 1
+            powers.clear()
+            assert places._wieferich_kernel(a, [p]) == ([], 1)
+            ((bx, by),) = powers
+            assert pow(bx, p - 1, pp) == 1 and by % pp != 0
+
 
 class TestSquarefreeRoute:
     def test_split_example(self, base_2i, cache_2i):
