@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .cyclo import decompose
+from .cyclo import CycloFactorCache, decompose
 from .ideals import BudgetExhausted, primes_above
 from .intfactor import FactorBudget
 from .places import (
@@ -194,7 +194,7 @@ def _cmd_classify(args) -> tuple[str, int]:
 def _cmd_decompose(args) -> tuple[str, int]:
     spec = FieldSpec.from_d(args.d)
     base = spec.parse_element(args.a)
-    dec = decompose(base, args.n, budget=_budget_from(args))
+    dec = decompose(CycloFactorCache(base, _budget_from(args)), args.n)
     parts = {
         name: [{"p": P.p, "kind": P.kind, "t": P.t, "norm": P.norm, "exponent": e}
                for P, e in factorization.items_sorted()]

@@ -98,8 +98,6 @@ def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:
     """Phi_n(a) via the Mobius product over a^d - 1 with exact division."""
     if a.is_zero or a.is_unit():
         raise ValueError("base must be neither zero nor of magnitude one")
-    if n == 1:
-        return a - 1
     numerator = a.field.one()
     denominator = a.field.one()
     for d in divisors(n):
@@ -124,7 +122,11 @@ class LevelData:
 
 
 class CycloFactorCache:
-    """Factors Phi_n(a) once per level, for the base a and one effort budget."""
+    """The one carrier of a base a and its effort budget; factors Phi_n(a) once per level.
+
+    Level readers that share a sweep take the cache and read cache.a and
+    cache.budget, so a base and the budget its levels are factored under
+    cannot disagree."""
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
@@ -143,18 +145,8 @@ class CycloFactorCache:
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""
         for n in range(len(self._decompositions) + 1, n_max + 1):
-            self._decompositions.append(decompose(self.a, n, cache=self))
+            self._decompositions.append(decompose(self, n))
         return self._decompositions[: max(n_max, 0)]
-
-
-def _cache_for(a: QuadInt, budget: FactorBudget | None,
-               cache: CycloFactorCache | None) -> CycloFactorCache:
-    """The given cache once its base is checked against a, or a fresh one."""
-    if cache is None:
-        return CycloFactorCache(a, budget)
-    if cache.a != a:
-        raise ValueError("cache was built for a different base")
-    return cache
 
 
 @dataclass(frozen=True)
@@ -196,12 +188,12 @@ class Decomposition:
         }
 
 
-def decompose(a: QuadInt, n: int, cache: CycloFactorCache | None = None,
-              budget: FactorBudget | None = None) -> Decomposition:
-    """Split (a^n - 1) into squarefree and powerful parts, plus the level slice."""
+def decompose(cache: CycloFactorCache, n: int) -> Decomposition:
+    """Split (a^n - 1), a = cache.a, into squarefree and powerful parts, plus
+    the level slice; the levels d | n are read from the cache."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    cache = _cache_for(a, budget, cache)
+    a = cache.a
     power_value = a**n - 1
     primes = {P.p for d in divisors(n) for P in cache.level(d).ideal.exponents}
     power_ideal = _exact_factorization(power_value, sorted(primes))

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
-from .cyclo import CycloFactorCache, _cache_for, decompose
+from .cyclo import CycloFactorCache, decompose
 from .ideals import (
     BudgetExhausted,
     KIND_INERT,
@@ -173,17 +173,18 @@ STRATEGY_PRIME_LEVELS = "prime-levels"
 
 
 def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
-           strategy: str = STRATEGY_ALL_LEVELS,
-           cache: CycloFactorCache | None = None) -> CensusResult:
+           strategy: str = STRATEGY_ALL_LEVELS) -> CensusResult:
     """Count non-Wieferich places with norm in the class 1 mod k, by level sweep.
 
-    Levels k*m are decomposed in increasing order for m up to n_max, or up to
-    the largest prime m <= n_max under the prime-levels strategy, where only
-    prime m give records and skipped levels.  A prime of a complete level's
-    squarefree slice is new when no smaller complete level held it; new primes
-    at recorded levels become records once they pass the unramified and
-    residue-characteristic filters.  Exclusions and skipped levels are logged,
-    and each record is re-verified non-Wieferich on the way out.
+    The census owns its sweep: it classifies the base first, then decomposes
+    the levels k*m in one CycloFactorCache(a, budget) of its own, in
+    increasing order for m up to n_max, or up to the largest prime m <= n_max
+    under the prime-levels strategy, where only prime m give records and
+    skipped levels.  A prime of a complete level's squarefree slice is new
+    when no smaller complete level held it; new primes at recorded levels
+    become records once they pass the unramified and residue-characteristic
+    filters.  Exclusions and skipped levels are logged, and each record is
+    re-verified non-Wieferich on the way out.
     """
     bucket = classify_base(a)
     if bucket not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
@@ -203,7 +204,7 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
             "base magnitude squared is below 4; the logarithmic growth guarantee "
             "needs every embedding at magnitude 2 or more"
         )
-    cache = _cache_for(a, budget, cache)
+    cache = CycloFactorCache(a, budget)
     if strategy == STRATEGY_PRIME_LEVELS:
         record_at = set(primes_up_to(n_max))
     else:
@@ -211,7 +212,7 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     seen: set[PrimeIdeal] = set()
     for m in range(1, max(record_at, default=0) + 1):
         level = k * m
-        dec = decompose(a, level, cache=cache)
+        dec = decompose(cache, level)
         recorded = m in record_at
         if not dec.complete:
             if recorded:

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intfactor import small_factors
+from .intfactor import factorize
 
 MODE_RATIONAL = "rational"
 MODE_IMAGINARY_QUADRATIC = "imaginary-quadratic"
@@ -37,7 +37,14 @@ class InvariantViolation(AssertionError):
 
 
 def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for e in small_factors(n).values())
+    """n >= 1 has no square factor, by one factorize under the default budget,
+    so a huge n costs a bounded attempt; ValueError when that is incomplete."""
+    if n < 1:
+        return False
+    result = factorize(n)
+    if not result.complete:
+        raise ValueError(f"cannot decide whether {n} is squarefree within the factoring budget")
+    return all(e == 1 for e in result.factors.values())
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .cyclo import (
-    CycloFactorCache,
-    _cache_for,
-    cyclotomic_eval,
-    divisors,
-    euler_phi,
-    mobius,
-)
+from .cyclo import CycloFactorCache, cyclotomic_eval, divisors, euler_phi, mobius
 from .ideals import KIND_RAMIFIED, BudgetExhausted, factor_principal, residue_order
 from .intfactor import FactorBudget, padic_valuation
 from .places import is_wieferich_place
@@ -145,16 +138,15 @@ def check_sandwich(b, n_max: int) -> BoundCheckReport:
     return report
 
 
-def check_pairwise_coprime(a: QuadInt, n_max: int, budget: FactorBudget | None = None,
-                           cache: CycloFactorCache | None = None) -> BoundCheckReport:
-    """Level slices of the squarefree parts are pairwise coprime.
+def check_pairwise_coprime(cache: CycloFactorCache, n_max: int) -> BoundCheckReport:
+    """Level slices of the squarefree parts of cache.a are pairwise coprime.
 
-    For all complete levels m < n <= n_max the gcd of the two level
-    squarefree slices must be the unit ideal.
+    For all complete levels m < n <= n_max of the cache's sweep the gcd of
+    the two level squarefree slices must be the unit ideal.
     """
-    report = _report("pairwise-coprime-level-slices", a, n_max)
+    report = _report("pairwise-coprime-level-slices", cache.a, n_max)
     slices = {}
-    for dec in _cache_for(a, budget, cache).sweep(n_max):
+    for dec in cache.sweep(n_max):
         if not dec.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
@@ -169,11 +161,11 @@ def check_pairwise_coprime(a: QuadInt, n_max: int, budget: FactorBudget | None =
     return report
 
 
-def check_squarefree_nonwieferich(a: QuadInt, n_max: int, budget: FactorBudget | None = None,
-                                  cache: CycloFactorCache | None = None) -> BoundCheckReport:
-    """Every prime of the squarefree part of (a^n - 1) tests non-Wieferich."""
+def check_squarefree_nonwieferich(cache: CycloFactorCache, n_max: int) -> BoundCheckReport:
+    """Every prime of the squarefree part of (a^n - 1), a = cache.a, tests non-Wieferich."""
+    a = cache.a
     report = _report("squarefree-places-nonwieferich", a, n_max)
-    for dec in _cache_for(a, budget, cache).sweep(n_max):
+    for dec in cache.sweep(n_max):
         if not dec.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
@@ -184,13 +176,13 @@ def check_squarefree_nonwieferich(a: QuadInt, n_max: int, budget: FactorBudget |
     return report
 
 
-def check_order_consistency_range(a: QuadInt, n_max: int, budget: FactorBudget | None = None,
-                                  cache: CycloFactorCache | None = None) -> BoundCheckReport:
+def check_order_consistency_range(cache: CycloFactorCache, n_max: int) -> BoundCheckReport:
     """At each unramified prime of a level value, n <= n_max, the order of the
-    base is n stripped of its residue-characteristic part, and the norm is 1
-    modulo that.  Ramified primes are passed over."""
+    base cache.a is n stripped of its residue-characteristic part, and the
+    norm is 1 modulo that.  Ramified primes are passed over.  Levels and
+    orders are both resolved under cache.budget."""
+    a = cache.a
     report = _report("order-consistency", a, n_max)
-    cache = _cache_for(a, budget, cache)
     for dec in cache.sweep(n_max):
         n = dec.n
         if not dec.level_ideal.complete:
@@ -255,14 +247,14 @@ class TrendReport:
         }
 
 
-def bound_trend_report(a: QuadInt, n_max: int, budget: FactorBudget | None = None,
-                       cache: CycloFactorCache | None = None) -> TrendReport:
-    """Ratio series for the powerful, squarefree, and level-slice norms."""
-    if classify_base(a) not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
-        raise ValueError("trend report needs a base of magnitude above 1")
-    report = TrendReport(a, n_max)
-    log_base = math.log(a.abs_norm())
-    for dec in _cache_for(a, budget, cache).sweep(n_max):
+def bound_trend_report(cache: CycloFactorCache, n_max: int) -> TrendReport:
+    """Ratio series for the powerful, squarefree, and level-slice norms of cache.a.
+
+    The cache refuses zero and unit bases, so |Nm a| > 1 and the ratios exist.
+    """
+    report = TrendReport(cache.a, n_max)
+    log_base = math.log(cache.a.abs_norm())
+    for dec in cache.sweep(n_max):
         n = dec.n
         if not dec.complete:
             report.skipped_levels.append(n)
@@ -445,8 +437,8 @@ def run_full_verification(a: QuadInt, n_max: int,
     if bucket is BaseClass.ELIGIBLE:
         result.reports.append(check_cyclotomic_norm_lower_bound(a, n_max))
     result.reports.append(check_sandwich(max(2, a.abs_norm()), n_max))
-    result.reports.append(check_pairwise_coprime(a, n_max, budget, cache))
-    result.reports.append(check_squarefree_nonwieferich(a, n_max, budget, cache))
-    result.reports.append(check_order_consistency_range(a, n_max, budget, cache))
-    result.trend = bound_trend_report(a, n_max, budget, cache)
+    result.reports.append(check_pairwise_coprime(cache, n_max))
+    result.reports.append(check_squarefree_nonwieferich(cache, n_max))
+    result.reports.append(check_order_consistency_range(cache, n_max))
+    result.trend = bound_trend_report(cache, n_max)
     return result

@@ -115,7 +115,7 @@ def test_criterion_04_squarefree_part_places_nonwieferich(sweep):
     details = []
     ok = True
     for a, cache in sweep:
-        report = check_squarefree_nonwieferich(a, 40, cache=cache)
+        report = check_squarefree_nonwieferich(cache, 40)
         ok = ok and report.passed and report.checked > 0
         details.append(f"{a}: {report.checked} places, {len(report.violations)} violations")
     verdict(4, ok, "; ".join(details))
@@ -125,7 +125,7 @@ def test_criterion_05_level_slices_pairwise_coprime(sweep):
     details = []
     ok = True
     for a, cache in sweep:
-        report = check_pairwise_coprime(a, 40, cache=cache)
+        report = check_pairwise_coprime(cache, 40)
         ok = ok and report.passed and report.checked > 0
         details.append(f"{a}: {report.checked} pairs, {len(report.violations)} violations")
     verdict(5, ok, "; ".join(details))
@@ -164,18 +164,19 @@ def test_criterion_07_order_consistency(sweep):
     details = []
     ok = True
     for a, cache in sweep:
-        report = check_order_consistency_range(a, 40, cache=cache)
+        report = check_order_consistency_range(cache, 40)
         ok = ok and report.passed and report.checked > 0
         details.append(f"{a}: {report.checked} orders, {len(report.violations)} violations")
     verdict(7, ok, "; ".join(details))
 
 
 def test_criterion_08_distinct_new_primes_and_log_growth(sweep):
-    a, cache = sweep[0]
+    # the census owns its sweep, so it builds its own cache per call
+    a = sweep[0][0]
     ok = True
     details = []
     for k in (1, 3):
-        primes_only = census(a, k, 37, strategy=STRATEGY_PRIME_LEVELS, cache=cache)
+        primes_only = census(a, k, 37, strategy=STRATEGY_PRIME_LEVELS)
         first = {}
         for r in primes_only.records:
             first.setdefault(r.discovered_at_level, r.place)
@@ -184,7 +185,7 @@ def test_criterion_08_distinct_new_primes_and_log_growth(sweep):
         all_fresh = all(P is not None for P in complete_hits)
         pairwise_distinct = distinct == len(complete_hits)
 
-        result = census(a, k, 37, cache=cache)
+        result = census(a, k, 37)
         summary = result.summary()
         entries = summary["counts_by_level"]
         counts = summary["counts"]
@@ -223,8 +224,7 @@ def test_criterion_09_totient_density_positive_and_stable():
 
 
 def test_criterion_10_powerful_ratio_envelope(sweep):
-    a, cache = sweep[0]
-    trend = bound_trend_report(a, 40, cache=cache)
+    trend = bound_trend_report(sweep[0][1], 40)
     ratio = trend.summary()["last_quartile_max_powerful_ratio"]
     ok = not trend.identity_violations and ratio is not None and ratio <= 0.5
     verdict(

@@ -26,6 +26,14 @@ def parse_json_lines(text):
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
+def run_package(args, **kwargs):
+    """Run the interpreter on this package in a subprocess, WIEFERICH_* variables unset."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WIEFERICH_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
 def test_golden_outputs_byte_identical(capsys, monkeypatch):
     """Exit code, stdout and stderr of fixed invocations, pinned byte for byte.
 
@@ -41,6 +49,27 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
         assert got == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
 
 
+def test_golden_outputs_unchanged_under_optimize():
+    """The golden cases replayed under python -O: no output depends on assert."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from wieferich import cli\n"
+        "out = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    stdout, stderr = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+        "        code = cli.main(argv)\n"
+        "    out.append([code, stdout.getvalue(), stderr.getvalue()])\n"
+        "sys.stdout.write(json.dumps(out))\n"
+    )
+    proc = run_package(["-O", "-c", script], input=json.dumps([case["argv"] for case in GOLDEN]))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(got) == len(GOLDEN) == 29
+    for case, result in zip(GOLDEN, got):
+        assert result == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
+
+
 class TestFieldCommand:
     def test_describes_ring(self, capsys):
         code, out, _ = run_cli(["field", "-d", "1"], capsys)
@@ -48,6 +77,23 @@ class TestFieldCommand:
         info = json.loads(out)
         assert info["discriminant"] == -4
         assert info["omega"] == "i"
+
+    # huge d run in a subprocess, so a timeout stops a regression to an
+    # unbounded trial division instead of hanging the suite
+
+    def test_huge_prime_d_is_described(self):
+        proc = run_package(["-m", "wieferich.cli", "field", "-d", str(10**20 + 39)], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["d"] == 10**20 + 39
+
+    def test_undecidable_d_is_usage_error(self):
+        # the product of the primes after 10**19 and after 3*10**19 (128 bits)
+        # resists the default budget, so squarefreeness stays undecided
+        d = 10000000000000000051 * 30000000000000000041
+        proc = run_package(["-m", "wieferich.cli", "field", "-d", str(d)], timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: cannot decide whether {d} is squarefree within the factoring budget\n"
 
     def test_rational(self, capsys):
         code, out, _ = run_cli(["field", "-d", "0"], capsys)
@@ -208,11 +254,7 @@ class TestVerifyCommand:
             "import sys; sys.modules['mpmath'] = None; from wieferich import cli; "
             "sys.exit(cli.main(['verify', '-d', '1', '-a', '2,1', '--n-max', '10']))"
         )
-        package_root = Path(cli.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env)
+        proc = run_package(["-c", script])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["passed"] is True
 

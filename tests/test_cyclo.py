@@ -229,7 +229,7 @@ class TestCacheAndDecompose:
         assert lv.ideal.norm() == lv.value.abs_norm()
 
     def test_power_ideal_merges(self, base_2i, cache_2i):
-        merged = decompose(base_2i, 10, cache=cache_2i).power_ideal
+        merged = decompose(cache_2i, 10).power_ideal
         assert merged.complete
         assert merged.norm() == (base_2i**10 - 1).abs_norm()
 
@@ -240,7 +240,7 @@ class TestCacheAndDecompose:
             CycloFactorCache(gauss_field.element(0, 1))
 
     def test_decompose_example(self, base_2i, cache_2i):
-        dec = decompose(base_2i, 2, cache=cache_2i)
+        dec = decompose(cache_2i, 2)
         assert dec.complete
         assert [(P.label(), e) for P, e in dec.squarefree.items_sorted()] == [("(5,split,2)", 1)]
         assert [(P.label(), e) for P, e in dec.powerful.items_sorted()] == [("(2,ramified,1)", 2)]
@@ -251,7 +251,7 @@ class TestCacheAndDecompose:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 15, 20])
     def test_split_reassembles(self, base_2i, cache_2i, n):
-        dec = decompose(base_2i, n, cache=cache_2i)
+        dec = decompose(cache_2i, n)
         assert dec.complete
         total = (base_2i**n - 1).abs_norm()
         assert dec.squarefree.norm() * dec.powerful.norm() == total
@@ -263,14 +263,14 @@ class TestCacheAndDecompose:
     def test_incomplete_is_flagged(self, d2_field):
         outlier = d2_field.element(2, 1)
         cache = CycloFactorCache(outlier, FactorBudget(trial_limit=10**3, rho_iterations=10))
-        dec = decompose(outlier, 37, cache=cache)
+        dec = decompose(cache, 37)
         assert not dec.complete
 
-    def test_decompose_checks_level_and_base(self, base_2i, gauss_field):
+    def test_decompose_checks_level_and_base(self, cache_2i, gauss_field):
         with pytest.raises(ValueError, match="level must be >= 1"):
-            decompose(base_2i, 0)
+            decompose(cache_2i, 0)
         with pytest.raises(ValueError, match="neither zero nor of magnitude one"):
-            decompose(gauss_field.element(0, 1), 3)
+            decompose(CycloFactorCache(gauss_field.element(0, 1)), 3)
 
 
 # Default-budget caches shared across examples, one per base: the default
@@ -305,8 +305,8 @@ class TestBudgetIndependence:
     @settings(max_examples=15)
     @given(small_bases(), st.integers(1, 40), tiny_budgets)
     def test_tiny_budget_certifies_default_exponents(self, a, n, budget):
-        tiny = decompose(a, n, budget=budget)
-        full = decompose(a, n, cache=_default_cache(a))
+        tiny = decompose(CycloFactorCache(a, budget), n)
+        full = decompose(_default_cache(a), n)
         for part, reference in ((tiny.power_ideal, full.power_ideal),
                                 (tiny.level_ideal, full.level_ideal)):
             for P, e in part.exponents.items():
@@ -316,8 +316,8 @@ class TestBudgetIndependence:
         # Nm Phi_3(2i) = 13 is certified, while the 13 in Phi_39(2i) stays
         # in that level's cofactor below a trial limit of 2 without rho
         a = gauss_field.element(0, 2)
-        tiny = decompose(a, 39, budget=FactorBudget(trial_limit=2, rho_iterations=0))
-        full = decompose(a, 39)
+        tiny = decompose(CycloFactorCache(a, FactorBudget(trial_limit=2, rho_iterations=0)), 39)
+        full = decompose(CycloFactorCache(a), 39)
         assert {P.label(): e for P, e in tiny.power_ideal.items_sorted() if P.p == 13} == {
             "(13,split,8)": 2
         }
@@ -351,23 +351,18 @@ class TestSweep:
         calls = []
         original = cyclo.decompose
 
-        def counting(a, n, *args, **kwargs):
+        def counting(cache, n):
             calls.append(n)
-            return original(a, n, *args, **kwargs)
+            return original(cache, n)
 
         monkeypatch.setattr(cyclo, "decompose", counting)
         cache = CycloFactorCache(base_2i)
-        assert check_pairwise_coprime(base_2i, 10, cache=cache).passed
+        assert check_pairwise_coprime(cache, 10).passed
         assert calls == list(range(1, 11))
-        assert check_squarefree_nonwieferich(base_2i, 10, cache=cache).passed
-        assert check_pairwise_coprime(base_2i, 10, cache=cache).passed
-        assert not bound_trend_report(base_2i, 10, cache=cache).identity_violations
+        assert check_squarefree_nonwieferich(cache, 10).passed
+        assert check_pairwise_coprime(cache, 10).passed
+        assert not bound_trend_report(cache, 10).identity_violations
         assert calls == list(range(1, 11))
-
-    def test_rejects_cache_of_another_base(self, base_2i, gauss_field):
-        other = CycloFactorCache(gauss_field.element(1, 2))
-        with pytest.raises(ValueError, match="different base"):
-            check_pairwise_coprime(base_2i, 4, cache=other)
 
 
 class TestInvariants:

@@ -216,15 +216,15 @@ class TestScanKernel:
 
 class TestSquarefreeRoute:
     def test_split_example(self, base_2i, cache_2i):
-        dec = decompose(base_2i, 2, cache=cache_2i)
+        dec = decompose(cache_2i, 2)
         assert [(P.label(), e) for P, e in dec.squarefree.items_sorted()] == [("(5,split,2)", 1)]
 
     def test_squarefree_places_are_nonwieferich(self, base_2i, cache_2i):
-        report = check_squarefree_nonwieferich(base_2i, 12, cache=cache_2i)
+        report = check_squarefree_nonwieferich(cache_2i, 12)
         assert report.passed
         assert not report.skipped
         for n in (2, 3, 5, 8, 12):
-            squarefree = decompose(base_2i, n, cache=cache_2i).squarefree.items_sorted()
+            squarefree = decompose(cache_2i, n).squarefree.items_sorted()
             assert squarefree, n
             for P, _ in squarefree:
                 assert is_wieferich_place(P, base_2i) is False
@@ -232,38 +232,30 @@ class TestSquarefreeRoute:
                 assert element_valuation(P, diff) == 1
 
     def test_rejects_degenerate_base(self, gauss_field):
-        with pytest.raises(ValueError):
-            decompose(gauss_field.element(0, 1), 3)
+        with pytest.raises(ValueError, match="neither zero nor of magnitude one"):
+            decompose(CycloFactorCache(gauss_field.element(0, 1)), 3)
 
     def test_incomplete_level_is_skipped(self, d2_field):
         outlier = d2_field.element(2, 1)
         cache = CycloFactorCache(outlier, FactorBudget(trial_limit=10**3, rho_iterations=10))
-        report = check_squarefree_nonwieferich(outlier, 37, cache=cache)
+        report = check_squarefree_nonwieferich(cache, 37)
         assert 37 in [entry["n"] for entry in report.skipped]
 
 
 class TestFirstOccurrence:
-    def test_worked_example(self, base_2i, cache_2i):
-        result = census(base_2i, 1, 2, cache=cache_2i)
+    def test_worked_example(self, base_2i):
+        result = census(base_2i, 1, 2)
         assert result.records[0].place.label() == "(5,split,2)"
         assert result.records[0].discovered_at_level == 2
         # level 1 contributed only the ramified place, seen but excluded
         assert [e["reason"] for e in result.excluded] == ["ramified"]
 
-    def test_base_and_modulus_must_match(self, base_2i, cache_2i, gauss_field):
+    def test_base_and_modulus_must_match(self, base_2i):
         with pytest.raises(ValueError, match="progression modulus"):
-            census(base_2i, 0, 2, cache=cache_2i)
-        with pytest.raises(ValueError, match="different base"):
-            census(gauss_field.element(1, 2), 1, 2, cache=cache_2i)
+            census(base_2i, 0, 2)
 
-    def test_prime_levels_without_a_prime_still_check_the_cache(self, gauss_field):
-        # n_max 1 has no prime multiplier, so no level is decomposed at all
-        with pytest.raises(ValueError, match="cache was built for a different base"):
-            census(gauss_field.element(2, 1), 1, 1, strategy=STRATEGY_PRIME_LEVELS,
-                   cache=CycloFactorCache(gauss_field.element(1, 2)))
-
-    def test_fresh_primes_never_repeat(self, base_2i, cache_2i):
-        result = census(base_2i, 1, 20, cache=cache_2i)
+    def test_fresh_primes_never_repeat(self, base_2i):
+        result = census(base_2i, 1, 20)
         assert result.skipped_levels == []
         seen = [r.place.label() for r in result.records]
         seen += [e["place"] for e in result.excluded]
@@ -284,8 +276,8 @@ class TestCensus:
         for r in result.records:
             assert brute_multiplicative_order(2, r.place.p) == r.discovered_at_level
 
-    def test_gauss_excludes_ramified(self, base_2i, cache_2i):
-        result = census(base_2i, 1, 6, cache=cache_2i)
+    def test_gauss_excludes_ramified(self, base_2i):
+        result = census(base_2i, 1, 6)
         assert result.excluded == [
             {"place": "(2,ramified,1)", "level": 1, "reason": "ramified"}
         ]
@@ -296,27 +288,27 @@ class TestCensus:
             "(13,split,8)",
         ]
 
-    def test_modulus_filter(self, base_2i, cache_2i):
-        result = census(base_2i, 3, 8, cache=cache_2i)
+    def test_modulus_filter(self, base_2i):
+        result = census(base_2i, 3, 8)
         for r in result.records:
             assert r.norm % 3 == 1
             assert r.residue_class == 1
 
-    def test_records_coprime_to_modulus(self, rational_field, base_2i, cache_2i):
+    def test_records_coprime_to_modulus(self, rational_field, base_2i):
         # fresh squarefree-slice primes have order exactly k*m in the residue
         # field, so their characteristic never divides the modulus; the filter
         # is belt and braces and the records stay coprime to k
         for result in (
             census(rational_field.element(2), 3, 6),
-            census(base_2i, 3, 8, cache=cache_2i),
+            census(base_2i, 3, 8),
         ):
             for r in result.records:
                 assert gcd(r.place.p, result.k) == 1
                 assert r.norm % result.k == 1
 
-    def test_prime_levels_strategy(self, base_2i, cache_2i):
-        full = census(base_2i, 1, 10, cache=cache_2i)
-        primes_only = census(base_2i, 1, 10, strategy=STRATEGY_PRIME_LEVELS, cache=cache_2i)
+    def test_prime_levels_strategy(self, base_2i):
+        full = census(base_2i, 1, 10)
+        primes_only = census(base_2i, 1, 10, strategy=STRATEGY_PRIME_LEVELS)
         assert {r.discovered_at_level for r in primes_only.records} <= {2, 3, 5, 7}
         full_at_primes = [r for r in full.records if r.discovered_at_level in (2, 3, 5, 7)]
         assert [r.place for r in full_at_primes] == [r.place for r in primes_only.records]
@@ -325,9 +317,9 @@ class TestCensus:
         levels = []
         real_decompose = places.decompose
 
-        def counting_decompose(a, n, **kwargs):
+        def counting_decompose(cache, n):
             levels.append(n)
-            return real_decompose(a, n, **kwargs)
+            return real_decompose(cache, n)
 
         monkeypatch.setattr(places, "decompose", counting_decompose)
         census(base_2i, 1, 10, strategy=STRATEGY_PRIME_LEVELS)
@@ -343,8 +335,8 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(gauss_field.zero(), 1, 5)
 
-    def test_summary_shape(self, base_2i, cache_2i):
-        result = census(base_2i, 1, 8, cache=cache_2i)
+    def test_summary_shape(self, base_2i):
+        result = census(base_2i, 1, 8)
         summary = result.summary()
         assert summary["record_count"] == len(result.records)
         assert summary["x_grid"] == [5**n for n in range(1, 9)]
@@ -361,20 +353,26 @@ class TestCensus:
         complete_levels = set(result.complete_multipliers)
         assert all(r.discovered_at_level in complete_levels for r in result.records)
 
+    def test_budget_is_never_overridden(self, d2_field):
+        # the levels a small budget leaves unfinished for 2 + w in d = 2
+        result = census(d2_field.element(2, 1), 1, 40, FactorBudget(1000, 10))
+        assert result.skipped_levels == [13, 17, 19, 23, 25, 26, 28, 29, 32, 33, 34, 37, 38, 39, 40]
+        assert len(result.records) == 34
+
 
 class TestOrderConsistency:
     def test_known_level(self, base_2i, cache_2i):
-        report = check_order_consistency_range(base_2i, 12, cache=cache_2i)
+        report = check_order_consistency_range(cache_2i, 12)
         assert report.passed
         assert report.skipped == []
-        assert report.checked > check_order_consistency_range(base_2i, 11, cache=cache_2i).checked
+        assert report.checked > check_order_consistency_range(cache_2i, 11).checked
 
     def test_expected_order_formula(self, base_2i, cache_2i):
         # every unramified prime of the level ideal has order n / p**v_p(n)
         from wieferich import residue_order
 
         for n in (6, 10, 12, 18):
-            dec = decompose(base_2i, n, cache=cache_2i)
+            dec = decompose(cache_2i, n)
             for P, _ in dec.level_ideal.items_sorted():
                 if P.kind == "ramified":
                     continue
@@ -385,9 +383,9 @@ class TestOrderConsistency:
     def test_incomplete_checks_nothing(self, d2_field):
         outlier = d2_field.element(2, 1)
         cache = CycloFactorCache(outlier, FactorBudget(trial_limit=10**3, rho_iterations=10))
-        report = check_order_consistency_range(outlier, 37, cache=cache)
+        report = check_order_consistency_range(cache, 37)
         assert {"n": 37, "reason": "incomplete factorization"} in report.skipped
-        assert report.checked == check_order_consistency_range(outlier, 36, cache=cache).checked
+        assert report.checked == check_order_consistency_range(cache, 36).checked
 
 
 class TestInertRationalCorrespondence:

@@ -104,6 +104,12 @@ class TestFieldSpec:
             naive = n >= 1 and all(n % (f * f) for f in range(2, isqrt(n) + 1))
             assert is_squarefree(n) == naive, n
 
+    def test_large_square_factor_is_found(self):
+        # the square of a prime above the trial limit is found past trial division
+        assert not is_squarefree(3 * 10000019**2)
+        with pytest.raises(ValueError, match="squarefree"):
+            FieldSpec.from_d(3 * 10000019**2)
+
 
 class TestArithmetic:
     @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(RING_DS))

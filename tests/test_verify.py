@@ -110,30 +110,34 @@ class TestBoundChecks:
             assert min(slacks) > 0
             assert math.isclose(check_sandwich(b, 60).min_slack, min(slacks), rel_tol=1e-12)
 
-    def test_pairwise_coprime(self, base_2i, cache_2i):
-        report = check_pairwise_coprime(base_2i, 12, cache=cache_2i)
+    def test_pairwise_coprime(self, cache_2i):
+        report = check_pairwise_coprime(cache_2i, 12)
         assert report.passed
         assert report.checked == 66
 
-    def test_squarefree_nonwieferich(self, base_2i, cache_2i):
-        report = check_squarefree_nonwieferich(base_2i, 12, cache=cache_2i)
+    def test_squarefree_nonwieferich(self, cache_2i):
+        report = check_squarefree_nonwieferich(cache_2i, 12)
         assert report.passed
         assert report.checked > 0
 
-    def test_order_consistency_range(self, base_2i, cache_2i):
-        report = check_order_consistency_range(base_2i, 12, cache=cache_2i)
+    def test_order_consistency_range(self, cache_2i):
+        report = check_order_consistency_range(cache_2i, 12)
         assert report.passed
 
-    def test_order_consistency_uses_the_cache_budget(self, d2_field):
+    def test_full_verification_sweeps_use_its_budget(self, d2_field):
+        # each sweep report of the bundle equals the standalone check on a
+        # fresh cache of the same base and budget
         a, budget = d2_field.element(2, 1), FactorBudget(1000, 10)
-        by_cache = check_order_consistency_range(a, 40, cache=CycloFactorCache(a, budget))
-        by_budget = check_order_consistency_range(a, 40, budget=budget)
-        assert by_cache.as_dict() == by_budget.as_dict()
-
-    def test_order_consistency_rejects_cache_of_another_base(self, base_2i, gauss_field):
-        other = CycloFactorCache(gauss_field.element(3, 2))
-        with pytest.raises(ValueError, match="cache was built for a different base"):
-            check_order_consistency_range(base_2i, 6, cache=other)
+        full = run_full_verification(a, 40, budget)
+        by_tag = {r.tag: r.as_dict() for r in full.reports}
+        for check in (check_pairwise_coprime, check_squarefree_nonwieferich,
+                      check_order_consistency_range):
+            alone = check(CycloFactorCache(a, budget), 40).as_dict()
+            assert by_tag[alone["tag"]] == alone
+        trend = bound_trend_report(CycloFactorCache(a, budget), 40)
+        assert full.trend.summary() == trend.summary()
+        assert full.trend.entries == trend.entries
+        assert full.trend.skipped_levels  # the small budget leaves levels unfinished
 
     def test_report_serialization(self, base_2i):
         report = check_upper_norm_bound(base_2i, 5)
@@ -144,8 +148,8 @@ class TestBoundChecks:
 
 
 class TestTrend:
-    def test_identity_and_ratios(self, base_2i, cache_2i):
-        trend = bound_trend_report(base_2i, 20, cache=cache_2i)
+    def test_identity_and_ratios(self, cache_2i):
+        trend = bound_trend_report(cache_2i, 20)
         assert not trend.identity_violations
         for entry in trend.entries:
             assert entry["norm_squarefree"] * entry["norm_powerful"] == entry["norm_total"]
@@ -154,8 +158,8 @@ class TestTrend:
         assert summary["last_quartile_max_powerful_ratio"] <= 1
 
     def test_requires_growing_base(self, gauss_field):
-        with pytest.raises(ValueError):
-            bound_trend_report(gauss_field.element(0, 1), 10)
+        with pytest.raises(ValueError, match="neither zero nor of magnitude one"):
+            bound_trend_report(CycloFactorCache(gauss_field.element(0, 1)), 10)
 
 
 class TestExceptionSet:
