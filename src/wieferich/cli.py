@@ -48,7 +48,9 @@ def _add_common(sub: argparse.ArgumentParser, base_required: bool = True) -> Non
     sub.add_argument("--trial-limit", type=int, default=None,
                      help="trial division bound (default 10^6, env " + ENV_TRIAL_LIMIT + ")")
     sub.add_argument("--rho-iterations", type=int, default=None,
-                     help="rho iteration cap per cofactor (default 10^6, env " + ENV_RHO_ITERATIONS + ")")
+                     help="splitting effort per composite cofactor, in rho iterations: rho is given"
+                          " 10^5 of it and the rest buys ECM curves (B1 = 2000, B2 = 2*10^5,"
+                          " sigma = 6, 7, ...) at 2^15 each (default 10^6, env " + ENV_RHO_ITERATIONS + ")")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="write output to this path instead of stdout")
 

@@ -133,12 +133,19 @@ class CycloFactorCache:
             raise ValueError("base must be neither zero nor of magnitude one")
         self.a = a
         self.budget = budget or FactorBudget()
+        self._values: dict[int, QuadInt] = {}
         self._levels: dict[int, LevelData] = {}
         self._decompositions: list[Decomposition] = []
 
+    def value(self, n: int) -> QuadInt:
+        """Phi_n(a), evaluated once per cache."""
+        if n not in self._values:
+            self._values[n] = cyclotomic_eval(n, self.a)
+        return self._values[n]
+
     def level(self, n: int) -> LevelData:
         if n not in self._levels:
-            value = cyclotomic_eval(n, self.a)
+            value = self.value(n)
             self._levels[n] = LevelData(n, value, factor_principal(value, self.budget))
         return self._levels[n]
 

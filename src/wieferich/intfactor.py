@@ -1,11 +1,22 @@
 """Effort-bounded integer factorization with honest primality reporting.
 
 Factorization runs trial division over the primes of a segmented sieve of
-Eratosthenes, then perfect power peeling, then Brent's rho with batched gcds,
-all under an explicit budget.  Trial division takes batched gcds over prime
-blocks (Bernstein, "How to find small factors of integers", 2002): one gcd
-against the product of each block of consecutive primes, and division prime
-by prime only inside a block whose gcd exceeds 1.
+Eratosthenes, then perfect power peeling, then Brent's rho with batched gcds
+and the elliptic curve method, all under an explicit budget.  Trial division
+takes batched gcds over prime blocks (Bernstein, "How to find small factors
+of integers", 2002): one gcd against the product of each block of consecutive
+primes, and division prime by prime only inside a block whose gcd exceeds 1.
+
+Each composite cofactor gets a splitting effort counted in rho iterations
+(FactorBudget.rho_iterations).  Rho is given the first _RHO_SHARE = 10**5
+of it, which Brent's doubling rounds may overrun; whatever rho leaves buys
+ECM curves at _ECM_CURVE_PRICE = 2**15 iterations each (Lenstra, Ann. Math.
+126, 1987).  The curves are Suyama's, sigma = 6, 7, ... in order, one
+sequence per factorization, so no curve is retried on a piece of a number it
+already failed on and every result is deterministic.  Each curve runs
+Montgomery's x-only ladder (Math. Comp. 48, 1987) to B1 = 2000, then a
+baby-step giant-step stage 2 with D = 2310 that covers the primes up to
+B2 = 100 * B1.  An effort of at most 10**5 runs rho alone.
 
 Primality is certified, never assumed: below the published deterministic
 Miller-Rabin bound the fixed-base test is exact, above it a Pocklington
@@ -21,7 +32,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
 # Largest bound with a known 12-base deterministic Miller-Rabin witness set.
 DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
@@ -30,11 +41,24 @@ _EXTRA_PROBABLE_ROUNDS = 16
 _MAX_CERT_DEPTH = 6
 _TRIAL_BLOCK = 512
 _SIEVE_SEGMENT = 1 << 15
+_RHO_SHARE = 10**5
+_ECM_CURVE_PRICE = 1 << 15
+_ECM_FIRST_SIGMA = 6
+_ECM_B1 = 2000
+_ECM_B2 = 100 * _ECM_B1
+_ECM_D = 2310
 
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Effort caps: trial division bound and total rho iterations per cofactor."""
+    """Effort caps: the trial division bound, and the splitting effort per
+    composite cofactor counted in rho iterations.
+
+    Rho is given min(rho_iterations, 10**5) of that effort; what it leaves
+    buys ECM curves (B1 = 2000, B2 = 2 * 10**5, Suyama sigma = 6, 7, ...)
+    at 2**15 iterations each.  At the default 10**6, Brent's doubling rounds
+    stop rho at 131 070 iterations, which leaves 26 curves.
+    """
 
     trial_limit: int = 10**6
     rho_iterations: int = 10**6
@@ -279,14 +303,119 @@ def _brent_rho(n: int, max_iters: int, attempt: int) -> tuple[int | None, int]:
     return g, count
 
 
-def _split_composite(n: int, rho_budget: int) -> int | None:
-    """Find a nontrivial factor of odd composite n within the iteration budget."""
-    remaining = rho_budget
+def _x_double(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """2P from P = (x : z) on the Montgomery curve with a24 = (A + 2) / 4."""
+    s = (x + z) * (x + z) % n
+    d = (x - z) * (x - z) % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _x_add(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
+    """P + Q from P, Q and their difference P - Q, x-only."""
+    u = (p[0] - p[1]) * (q[0] + q[1])
+    v = (p[0] + p[1]) * (q[0] - q[1])
+    return diff[1] * (u + v) * (u + v) % n, diff[0] * (u - v) * (u - v) % n
+
+
+def _ladder(k: int, point: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
+    """k * point for k >= 1 by Montgomery's ladder; R1 - R0 = point throughout."""
+    r0, r1 = point, _x_double(*point, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _x_add(r1, r0, point, n), _x_double(*r1, a24, n)
+        else:
+            r0, r1 = _x_double(*r0, a24, n), _x_add(r1, r0, point, n)
+    return r0
+
+
+@lru_cache(maxsize=2)
+def _ecm_plan(sieve_limit: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, bytes], ...]]:
+    """Stage 1 multiplier, baby steps and stage 2 schedule, from primes_up_to(sieve_limit >= B2).
+
+    The multiplier is the product of the largest power <= B1 of each prime
+    <= B1.  Stage 2 covers each prime q in (B1, B2] as q = m*D +- j, with j
+    one of the residues below D/2 that are prime to D.  The schedule lists
+    every giant step m with the positions of its j among those residues, one
+    byte each, since it stays resident for the life of the process.
+    """
+    multiplier = 1
+    residues = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+    position = {j: i for i, j in enumerate(residues)}
+    marks: dict[int, bytearray] = {}
+    for q in primes_up_to(sieve_limit):
+        if q > _ECM_B2:
+            break
+        if q <= _ECM_B1:
+            power = q
+            while power * q <= _ECM_B1:
+                power *= q
+            multiplier *= power
+            continue
+        m = (q + _ECM_D // 2) // _ECM_D
+        marks.setdefault(m, bytearray(len(residues)))[position[abs(q - m * _ECM_D)]] = 1
+    schedule = tuple((m, bytes(compress(range(len(residues)), row))) for m, row in sorted(marks.items()))
+    return multiplier, residues, schedule
+
+
+def _ecm_curve(n: int, sigma: int, sieve_limit: int) -> int | None:
+    """One ECM curve on odd composite n: a proper factor of n, or None."""
+    multiplier, residues, schedule = _ecm_plan(sieve_limit)
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    denominator = 16 * pow(u, 3, n) * v % n
+    g = math.gcd(denominator, n)
+    if g > 1:
+        return g if g < n else None
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(denominator, -1, n) % n
+    q = _ladder(multiplier, (pow(u, 3, n), pow(v, 3, n)), a24, n)
+    g = math.gcd(q[1], n)
+    if g > 1:
+        return g if g < n else None
+    # baby steps j*Q for odd j < D/2, from (j + 2)Q = jQ + 2Q with difference (j - 2)Q
+    twice = _x_double(*q, a24, n)
+    babies = {1: q, 3: _x_add(twice, q, q, n)}
+    for j in range(5, _ECM_D // 2, 2):
+        babies[j] = _x_add(babies[j - 2], twice, babies[j - 4], n)
+    # giant steps m*G, G = D*Q, from (m + 1)G = mG + G with difference (m - 1)G
+    giant = _ladder(_ECM_D, q, a24, n)
+    giants = {1: giant, 2: _x_double(*giant, a24, n)}
+    for m in range(3, schedule[-1][0] + 1):
+        giants[m] = _x_add(giants[m - 1], giant, giants[m - 2], n)
+    # affine x of every point stage 2 compares, once each z is known to be invertible
+    babies = [babies[j] for j in residues]
+    g = math.gcd(math.prod(z for _, z in [*babies, *giants.values()]) % n, n)
+    if g > 1:
+        return g if g < n else None
+    baby_x = [x * pow(z, -1, n) % n for x, z in babies]
+    giant_x = {m: x * pow(z, -1, n) % n for m, (x, z) in giants.items()}
+    product = 1
+    for m, steps in schedule:
+        xm = giant_x[m]
+        for i in steps:
+            product = product * (xm - baby_x[i]) % n
+    g = math.gcd(product, n)
+    return g if 1 < g < n else None
+
+
+def _split_composite(n: int, effort: int, sigmas: Iterator[int], sieve_limit: int) -> int | None:
+    """Find a nontrivial factor of odd composite n within the effort, in rho iterations.
+
+    Rho is given _RHO_SHARE of it and may overrun to the end of a doubling
+    round; the rest buys ECM curves whose sigma values are drawn from the
+    factorization's one sequence.
+    """
+    remaining = min(effort, _RHO_SHARE)
+    effort -= remaining
     attempt = 0
     while remaining > 0:
         factor, used = _brent_rho(n, remaining, attempt)
         remaining -= max(used, 1)
         attempt += 1
+        if factor is not None:
+            return factor
+    for _ in range((effort + remaining) // _ECM_CURVE_PRICE):
+        factor = _ecm_curve(n, next(sigmas), sieve_limit)
         if factor is not None:
             return factor
     return None
@@ -319,6 +448,8 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
         return FactorResult(original, factors)
 
     cofactor = 1
+    sigmas = count(_ECM_FIRST_SIGMA)
+    sieve_limit = max(budget.trial_limit, _ECM_B2)
     stack: list[tuple[int, int]] = [(n, 1)]
     while stack:
         value, mult = stack.pop()
@@ -333,7 +464,7 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
         if verdict is None:
             cofactor *= value**mult
             continue
-        piece = _split_composite(value, budget.rho_iterations)
+        piece = _split_composite(value, budget.rho_iterations, sigmas, sieve_limit)
         if piece is None:
             cofactor *= value**mult
             continue

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .cyclo import CycloFactorCache, cyclotomic_eval, divisors, euler_phi, mobius
+from .cyclo import CycloFactorCache, divisors, euler_phi, mobius
 from .ideals import KIND_RAMIFIED, BudgetExhausted, factor_principal, residue_order
 from .intfactor import FactorBudget, padic_valuation
 from .places import is_wieferich_place
@@ -87,11 +87,14 @@ def check_upper_norm_bound(a: QuadInt, n_max: int) -> BoundCheckReport:
     return report
 
 
-def check_cyclotomic_norm_lower_bound(a: QuadInt, n_max: int) -> BoundCheckReport:
-    """|Nm(a)|**phi(n) <= 2**deg * |Nm(Phi_n(a))| for 2 <= n <= n_max.
+def check_cyclotomic_norm_lower_bound(cache: CycloFactorCache, n_max: int) -> BoundCheckReport:
+    """|Nm(a)|**phi(n) <= 2**deg * |Nm(Phi_n(a))| for 2 <= n <= n_max, a = cache.a.
 
-    Needs an eligible base: every embedding at magnitude >= 2.
+    Needs an eligible base: every embedding at magnitude >= 2.  The values
+    Phi_n(a) are read from the cache, so a sweep over the same cache does not
+    evaluate them again.
     """
+    a = cache.a
     if classify_base(a) is not BaseClass.ELIGIBLE:
         raise ValueError("lower bound needs every embedding at magnitude >= 2")
     deg = a.field.degree
@@ -99,7 +102,7 @@ def check_cyclotomic_norm_lower_bound(a: QuadInt, n_max: int) -> BoundCheckRepor
     report = _report("cyclotomic-norm-lower-bound", a, n_max)
     for n in range(2, n_max + 1):
         lhs = base ** euler_phi(n)
-        rhs = 2**deg * abs(cyclotomic_eval(n, a).norm())
+        rhs = 2**deg * abs(cache.value(n).norm())
         report.checked += 1
         if lhs > rhs:
             report.violations.append({"n": n, "lhs": lhs, "rhs": rhs})
@@ -435,7 +438,7 @@ def run_full_verification(a: QuadInt, n_max: int,
     result = FullVerification(a, n_max)
     result.reports.append(check_upper_norm_bound(a, n_max))
     if bucket is BaseClass.ELIGIBLE:
-        result.reports.append(check_cyclotomic_norm_lower_bound(a, n_max))
+        result.reports.append(check_cyclotomic_norm_lower_bound(cache, n_max))
     result.reports.append(check_sandwich(max(2, a.abs_norm()), n_max))
     result.reports.append(check_pairwise_coprime(cache, n_max))
     result.reports.append(check_squarefree_nonwieferich(cache, n_max))

@@ -146,7 +146,7 @@ def test_criterion_06_norm_bounds_and_sandwich():
     bound_violations = 0
     for a in sample:
         bound_violations += len(check_upper_norm_bound(a, 60).violations)
-        bound_violations += len(check_cyclotomic_norm_lower_bound(a, 60).violations)
+        bound_violations += len(check_cyclotomic_norm_lower_bound(CycloFactorCache(a), 60).violations)
     sandwich_violations = 0
     for i in range(20):
         b = Fraction(2) + Fraction(8 * i, 19)

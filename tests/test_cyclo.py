@@ -323,6 +323,23 @@ class TestBudgetIndependence:
         }
         assert tiny.powerful.exponents == full.powerful.exponents
 
+    @pytest.mark.parametrize("n", [61, 73, 79])
+    def test_ecm_budget_certifies_default_exponents(self, base_2i, n):
+        # 10**5 + 3 * 2**15 is past the rho share and buys two ECM curves after
+        # rho's 131 070 iterations; they split level 79's 84-bit composite
+        budgets = (FactorBudget(rho_iterations=10**5), FactorBudget(rho_iterations=10**5 + 3 * 2**15))
+        full = decompose(_default_cache(base_2i), n)
+        assert full.complete
+        completed = []
+        for budget in budgets:
+            part = decompose(CycloFactorCache(base_2i, budget), n)
+            completed.append(part.level_ideal.complete)
+            for ideal, reference in ((part.power_ideal, full.power_ideal),
+                                     (part.level_ideal, full.level_ideal)):
+                for P, e in ideal.exponents.items():
+                    assert reference.exponent(P) == e, (n, budget, P.label())
+        assert completed == [False, n == 79]
+
     @settings(max_examples=15)
     @given(small_bases(), st.integers(1, 40), tiny_budgets)
     def test_small_budget_only_skips_levels(self, a, n_max, budget):

@@ -1,15 +1,22 @@
 """Effort-bounded factorization against naive trial-division oracles."""
 
+import json
+import random
 from itertools import combinations, compress
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wieferich import FactorBudget, certify_prime, factorize, is_probable_prime
+from wieferich import FactorBudget, certify_prime, factorize, intfactor, is_probable_prime
 from wieferich.intfactor import (
     DETERMINISTIC_MR_BOUND,
+    _ECM_B1,
+    _ECM_B2,
+    _ECM_D,
     _SIEVE_SEGMENT,
+    _ecm_curve,
     _prime_stream,
     padic_valuation,
     perfect_power,
@@ -256,3 +263,143 @@ class TestTrialDivisionBlocks:
             assert (list(result.factors.items()), result.cofactor) == per_prime_trial_division(
                 n, budget
             ), n
+
+
+def ecm_multiplier(b1: int) -> int:
+    """The product of the largest power <= b1 of each prime <= b1, from naive primality."""
+    out = 1
+    for p in filter(naive_prime, range(2, b1 + 1)):
+        power = p
+        while power * p <= b1:
+            power *= p
+        out *= power
+    return out
+
+
+def affine_multiple(k: int, point, a: int, b: int, p: int):
+    """k * point on b*y**2 = x**3 + a*x**2 + x over F_p in affine coordinates; None is O."""
+
+    def add(s, t):
+        if s is None or t is None:
+            return t if s is None else s
+        (x1, y1), (x2, y2) = s, t
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            slope = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (b * slope * slope - a - x1 - x2) % p
+        return x3, (slope * (x1 - x3) - y1) % p
+
+    out = None
+    for bit in bin(k)[2:]:
+        out = add(out, out)
+        if bit == "1":
+            out = add(out, point)
+    return out
+
+
+class TestECM:
+    """The elliptic curve stage that spends the splitting effort rho leaves."""
+
+    def test_fixed_split_needs_the_curves(self):
+        # 42- and 43-bit primes: beyond the 10**5 rho share, within two curves
+        n = 14850591850825378499362969
+        result = factorize(n)
+        assert result.factors == {2301199186613: 1, 6453414349013: 1}
+        rho_only = factorize(n, FactorBudget(rho_iterations=10**5))
+        assert rho_only.factors == {} and rho_only.cofactor == n
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2026)
+
+        def prime(bits):
+            while True:
+                candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                if is_probable_prime(candidate):
+                    return candidate
+
+        completed = 0
+        for _ in range(6):
+            p, q = prime(rng.randint(30, 60)), prime(rng.randint(30, 60))
+            result = factorize(p * q)
+            expected = sympy.factorint(p * q)
+            assert reassembled(result) == p * q
+            for prime_factor, e in result.factors.items():
+                assert expected[prime_factor] == e
+            if result.complete:
+                completed += 1
+                assert result.factors == expected
+            else:
+                # only an unsplit product of two large primes may stay behind
+                assert result.cofactor == p * q and min(p, q).bit_length() > 40
+        assert completed >= 5
+
+    def test_factor_found_in_the_last_giant_step(self):
+        # for p = 2399027 the Suyama curve sigma = 7 starts at a point whose
+        # order is a B1-smooth multiple of q = 199889, a prime that stage 2
+        # meets only in its last giant step
+        p, sigma, q = 2399027, 7, 199889
+        assert (q + _ECM_D // 2) // _ECM_D == (_ECM_B2 + _ECM_D // 2) // _ECM_D
+        u, v = sigma * sigma - 5, 4 * sigma
+        a = (pow(v - u, 3, p) * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+        x = u**3 * pow(v**3, -1, p) % p
+        b = (x**3 + a * x * x + x) % p
+        after_stage1 = affine_multiple(ecm_multiplier(_ECM_B1), (x, 1), a, b, p)
+        assert after_stage1 is not None
+        assert affine_multiple(q, after_stage1, a, b, p) is None
+        assert _ecm_curve(p * (2**61 - 1), sigma, 10**6) == p
+
+    def test_sigma_runs_on_across_the_cofactors(self, monkeypatch):
+        # three primes of 40-42 bits: a curve splits the product, and the next
+        # split of the remaining 83-bit piece draws the next sigma values
+        n = 3623335297434550893903761212351234723
+        sigmas = []
+
+        def spy(value, sigma, sieve_limit):
+            sigmas.append(sigma)
+            return _ecm_curve(value, sigma, sieve_limit)
+
+        monkeypatch.setattr(intfactor, "_ecm_curve", spy)
+        assert factorize(n).complete
+        first = list(sigmas)
+        assert len(first) >= 3 and first == list(range(6, 6 + len(first)))
+        sigmas.clear()
+        assert factorize(n).complete
+        assert sigmas == first
+
+    @pytest.mark.parametrize(
+        "effort, curves",
+        [(10**5, 0), (10**5 + 2**15, 0), (10**5 + 3 * 2**15, 2), (10**6, 26)],
+    )
+    def test_effort_buys_curves_after_rho(self, monkeypatch, effort, curves):
+        # two 64-bit primes: neither rho nor a B1 = 2000 curve splits their product,
+        # and rho's doubling rounds end at 131 070 iterations
+        n = next_prime(2**64) * next_prime(2**65)
+        calls = []
+
+        def spy(value, sigma, sieve_limit):
+            calls.append(sigma)
+            return _ecm_curve(value, sigma, sieve_limit)
+
+        monkeypatch.setattr(intfactor, "_ecm_curve", spy)
+        result = factorize(n, FactorBudget(rho_iterations=effort))
+        assert result.cofactor == n
+        assert calls == list(range(6, 6 + curves))
+
+
+def budget_table() -> list[dict]:
+    with open(Path(__file__).parent / "data" / "factor_budget_table.json") as handle:
+        return json.load(handle)["rows"]
+
+
+@pytest.mark.parametrize(
+    "row", budget_table(), ids=lambda row: f"{row['n']}-{row['trial_limit']}-{row['rho_iterations']}"
+)
+def test_efforts_within_the_rho_share_keep_their_results(row):
+    # captured from the rho-only engine: an effort of at most 10**5 buys no curve
+    result = factorize(row["n"], FactorBudget(row["trial_limit"], row["rho_iterations"]))
+    assert sorted([p, e] for p, e in result.factors.items()) == row["factors"]
+    assert result.cofactor == row["cofactor"]

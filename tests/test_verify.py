@@ -63,14 +63,14 @@ class TestBoundChecks:
         assert report.passed
 
     def test_lower_bound_example(self, rational_field):
-        report = check_cyclotomic_norm_lower_bound(rational_field.element(2), 30)
+        report = check_cyclotomic_norm_lower_bound(CycloFactorCache(rational_field.element(2)), 30)
         assert report.passed
         # n = 6: 2**phi(6) = 4 against 2 * |Phi_6(2)| = 6
         assert 2 ** euler_phi(6) <= 2 * abs(cyclotomic_eval(6, rational_field.element(2)).x)
 
     def test_lower_bound_requires_eligible(self, gauss_field):
         with pytest.raises(ValueError):
-            check_cyclotomic_norm_lower_bound(gauss_field.element(1, 1), 10)
+            check_cyclotomic_norm_lower_bound(CycloFactorCache(gauss_field.element(1, 1)), 10)
 
     @pytest.mark.parametrize("b", SANDWICH_BASES)
     def test_sandwich_certifies(self, b):
