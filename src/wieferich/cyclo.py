@@ -112,21 +112,13 @@ def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:
     return numerator.exact_div(denominator)
 
 
-@dataclass(frozen=True)
-class LevelData:
-    """One cyclotomic level: the value Phi_n(a) and its ideal factorization."""
-
-    n: int
-    value: QuadInt
-    ideal: IdealFactorization
-
-
 class CycloFactorCache:
     """The one carrier of a base a and its effort budget; factors Phi_n(a) once per level.
 
-    Level readers that share a sweep take the cache and read cache.a and
-    cache.budget, so a base and the budget its levels are factored under
-    cannot disagree."""
+    value(n) holds Phi_n(a) and level(n) its ideal factorization, one copy
+    each.  level(n) is the one reader of cache.budget: level readers that
+    share a sweep take the cache, so a base and the budget its levels are
+    factored under cannot disagree."""
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
@@ -134,7 +126,7 @@ class CycloFactorCache:
         self.a = a
         self.budget = budget or FactorBudget()
         self._values: dict[int, QuadInt] = {}
-        self._levels: dict[int, LevelData] = {}
+        self._levels: dict[int, IdealFactorization] = {}
         self._decompositions: list[Decomposition] = []
 
     def value(self, n: int) -> QuadInt:
@@ -143,10 +135,10 @@ class CycloFactorCache:
             self._values[n] = cyclotomic_eval(n, self.a)
         return self._values[n]
 
-    def level(self, n: int) -> LevelData:
+    def level(self, n: int) -> IdealFactorization:
+        """The ideal factorization of Phi_n(a) under cache.budget, factored once per cache."""
         if n not in self._levels:
-            value = self.value(n)
-            self._levels[n] = LevelData(n, value, factor_principal(value, self.budget))
+            self._levels[n] = factor_principal(self.value(n), self.budget)
         return self._levels[n]
 
     def sweep(self, n_max: int) -> list[Decomposition]:
@@ -202,7 +194,7 @@ def decompose(cache: CycloFactorCache, n: int) -> Decomposition:
         raise ValueError("level must be >= 1")
     a = cache.a
     power_value = a**n - 1
-    primes = {P.p for d in divisors(n) for P in cache.level(d).ideal.exponents}
+    primes = {P.p for d in divisors(n) for P in cache.level(d).exponents}
     power_ideal = _exact_factorization(power_value, sorted(primes))
     level = cache.level(n)
     squarefree = power_ideal.squarefree_part()
@@ -210,7 +202,7 @@ def decompose(cache: CycloFactorCache, n: int) -> Decomposition:
 
     def level_slice(part: IdealFactorization) -> IdealFactorization:
         return IdealFactorization(
-            a.field, {P: min(e, part.exponent(P)) for P, e in level.ideal.exponents.items()}
+            a.field, {P: min(e, part.exponent(P)) for P, e in level.exponents.items()}
         )
 
     return Decomposition(
@@ -218,8 +210,8 @@ def decompose(cache: CycloFactorCache, n: int) -> Decomposition:
         n=n,
         power_value=power_value,
         power_ideal=power_ideal,
-        level_value=level.value,
-        level_ideal=level.ideal,
+        level_value=cache.value(n),
+        level_ideal=level,
         squarefree=squarefree,
         powerful=powerful,
         level_squarefree=level_slice(squarefree),

@@ -233,8 +233,17 @@ def is_unit_mod(P: PrimeIdeal, a: QuadInt) -> bool:
     return residue_reduce(P, a, 1) not in (0, (0, 0))
 
 
+def _order_dividing(P: PrimeIdeal, a: QuadInt, multiple: int, primes) -> int:
+    """The order of a in (O/P)*, given a multiple of it and every prime dividing that multiple."""
+    order = multiple
+    for ell in primes:
+        while order % ell == 0 and residue_pow(a, order // ell, P, 1) in (1, (1, 0)):
+            order //= ell
+    return order
+
+
 def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None) -> int:
-    """Multiplicative order of a in (O/P)*; needs q - 1 fully factored."""
+    """Multiplicative order of a in (O/P)*, reduced from Nm(P) - 1; needs that fully factored."""
     if not is_unit_mod(P, a):
         raise ValueError(f"{a} is not a unit modulo {P.label()}")
     group_size = P.norm - 1
@@ -243,11 +252,7 @@ def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None)
     decomposition = factorize(group_size, budget)
     if not decomposition.complete:
         raise BudgetExhausted(f"cannot fully factor {group_size} to compute an order")
-    order = group_size
-    for ell in decomposition.factors:
-        while order % ell == 0 and residue_pow(a, order // ell, P, 1) in (1, (1, 0)):
-            order //= ell
-    return order
+    return _order_dividing(P, a, group_size, decomposition.factors)
 
 
 class IdealFactorization:

@@ -329,9 +329,9 @@ def _ladder(k: int, point: tuple[int, int], a24: int, n: int) -> tuple[int, int]
     return r0
 
 
-@lru_cache(maxsize=2)
-def _ecm_plan(sieve_limit: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, bytes], ...]]:
-    """Stage 1 multiplier, baby steps and stage 2 schedule, from primes_up_to(sieve_limit >= B2).
+@lru_cache(maxsize=1)
+def _ecm_plan() -> tuple[int, tuple[int, ...], tuple[tuple[int, bytes], ...]]:
+    """Stage 1 multiplier, baby steps and stage 2 schedule, built once per process.
 
     The multiplier is the product of the largest power <= B1 of each prime
     <= B1.  Stage 2 covers each prime q in (B1, B2] as q = m*D +- j, with j
@@ -343,9 +343,7 @@ def _ecm_plan(sieve_limit: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, 
     residues = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
     position = {j: i for i, j in enumerate(residues)}
     marks: dict[int, bytearray] = {}
-    for q in primes_up_to(sieve_limit):
-        if q > _ECM_B2:
-            break
+    for q in _prime_stream(_ECM_B2):
         if q <= _ECM_B1:
             power = q
             while power * q <= _ECM_B1:
@@ -358,9 +356,9 @@ def _ecm_plan(sieve_limit: int) -> tuple[int, tuple[int, ...], tuple[tuple[int, 
     return multiplier, residues, schedule
 
 
-def _ecm_curve(n: int, sigma: int, sieve_limit: int) -> int | None:
+def _ecm_curve(n: int, sigma: int) -> int | None:
     """One ECM curve on odd composite n: a proper factor of n, or None."""
-    multiplier, residues, schedule = _ecm_plan(sieve_limit)
+    multiplier, residues, schedule = _ecm_plan()
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
     denominator = 16 * pow(u, 3, n) * v % n
@@ -398,7 +396,7 @@ def _ecm_curve(n: int, sigma: int, sieve_limit: int) -> int | None:
     return g if 1 < g < n else None
 
 
-def _split_composite(n: int, effort: int, sigmas: Iterator[int], sieve_limit: int) -> int | None:
+def _split_composite(n: int, effort: int, sigmas: Iterator[int]) -> int | None:
     """Find a nontrivial factor of odd composite n within the effort, in rho iterations.
 
     Rho is given _RHO_SHARE of it and may overrun to the end of a doubling
@@ -415,7 +413,7 @@ def _split_composite(n: int, effort: int, sigmas: Iterator[int], sieve_limit: in
         if factor is not None:
             return factor
     for _ in range((effort + remaining) // _ECM_CURVE_PRICE):
-        factor = _ecm_curve(n, next(sigmas), sieve_limit)
+        factor = _ecm_curve(n, next(sigmas))
         if factor is not None:
             return factor
     return None
@@ -449,7 +447,6 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
 
     cofactor = 1
     sigmas = count(_ECM_FIRST_SIGMA)
-    sieve_limit = max(budget.trial_limit, _ECM_B2)
     stack: list[tuple[int, int]] = [(n, 1)]
     while stack:
         value, mult = stack.pop()
@@ -464,7 +461,7 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
         if verdict is None:
             cofactor *= value**mult
             continue
-        piece = _split_composite(value, budget.rho_iterations, sigmas, sieve_limit)
+        piece = _split_composite(value, budget.rho_iterations, sigmas)
         if piece is None:
             cofactor *= value**mult
             continue

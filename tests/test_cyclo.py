@@ -224,9 +224,9 @@ class TestTotientDensity:
 class TestCacheAndDecompose:
     def test_cache_levels(self, base_2i, cache_2i):
         lv = cache_2i.level(12)
-        assert lv.ideal.complete
-        assert lv.value == cyclotomic_eval(12, base_2i)
-        assert lv.ideal.norm() == lv.value.abs_norm()
+        assert lv.complete
+        assert cache_2i.value(12) == cyclotomic_eval(12, base_2i)
+        assert lv.norm() == cache_2i.value(12).abs_norm()
 
     def test_power_ideal_merges(self, base_2i, cache_2i):
         merged = decompose(cache_2i, 10).power_ideal
@@ -347,10 +347,10 @@ class TestBudgetIndependence:
         full = _default_cache(a)
         for n in range(1, n_max + 1):
             level = tiny.level(n)
-            if level.ideal.complete:
+            if level.complete:
                 reference = full.level(n)
-                assert reference.ideal.complete, (a, n, budget)
-                assert level.ideal.exponents == reference.ideal.exponents, (a, n, budget)
+                assert reference.complete, (a, n, budget)
+                assert level.exponents == reference.exponents, (a, n, budget)
 
 
 class TestSweep:

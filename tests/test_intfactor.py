@@ -350,7 +350,7 @@ class TestECM:
         after_stage1 = affine_multiple(ecm_multiplier(_ECM_B1), (x, 1), a, b, p)
         assert after_stage1 is not None
         assert affine_multiple(q, after_stage1, a, b, p) is None
-        assert _ecm_curve(p * (2**61 - 1), sigma, 10**6) == p
+        assert _ecm_curve(p * (2**61 - 1), sigma) == p
 
     def test_sigma_runs_on_across_the_cofactors(self, monkeypatch):
         # three primes of 40-42 bits: a curve splits the product, and the next
@@ -358,9 +358,9 @@ class TestECM:
         n = 3623335297434550893903761212351234723
         sigmas = []
 
-        def spy(value, sigma, sieve_limit):
+        def spy(value, sigma):
             sigmas.append(sigma)
-            return _ecm_curve(value, sigma, sieve_limit)
+            return _ecm_curve(value, sigma)
 
         monkeypatch.setattr(intfactor, "_ecm_curve", spy)
         assert factorize(n).complete
@@ -380,9 +380,9 @@ class TestECM:
         n = next_prime(2**64) * next_prime(2**65)
         calls = []
 
-        def spy(value, sigma, sieve_limit):
+        def spy(value, sigma):
             calls.append(sigma)
-            return _ecm_curve(value, sigma, sieve_limit)
+            return _ecm_curve(value, sigma)
 
         monkeypatch.setattr(intfactor, "_ecm_curve", spy)
         result = factorize(n, FactorBudget(rho_iterations=effort))

@@ -1,6 +1,7 @@
 """Exact bound checks, exception-set enumeration, and quality statistics."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from wieferich import (
     CycloFactorCache,
     FactorBudget,
     FieldSpec,
+    IdealFactorization,
     abc_quality,
     check_cyclotomic_norm_lower_bound,
     check_order_consistency_range,
@@ -21,6 +23,8 @@ from wieferich import (
     euler_phi,
     exception_set,
     exception_set_union,
+    factorize,
+    primes_above,
     run_full_verification,
 )
 from wieferich.qfield import BASIS_HALF
@@ -123,6 +127,46 @@ class TestBoundChecks:
     def test_order_consistency_range(self, cache_2i):
         report = check_order_consistency_range(cache_2i, 12)
         assert report.passed
+
+    def test_order_consistency_catches_a_planted_place(self, gauss_field, base_2i):
+        # (13, split, 5) has order 12 for 2 + i: at level 6 the base's power is
+        # not 1 there, and at level 24 the order proved from n falls short of n
+        planted = primes_above(gauss_field, 13)[0]
+        assert planted.t == 5
+        details = {}
+        for n in (6, 24):
+            cache = CycloFactorCache(base_2i)
+            exponents = {**cache.level(n).exponents, planted: 1}
+            cache._levels[n] = IdealFactorization(gauss_field, exponents)
+            details[n] = [v["detail"] for v in check_order_consistency_range(cache, n).violations]
+        assert details == {
+            6: ["(13,split,5): a**n is not 1 at level 6"],
+            24: ["(13,split,5): order 12 != expected 24 at level 24"],
+        }
+
+    def test_order_consistency_skips_only_unfinished_levels(self, d2_field):
+        # no Nm(P) - 1 is factored, so a budget too small for those leaves
+        # every place of a finished level checked
+        cache = CycloFactorCache(d2_field.element(2, 1), FactorBudget(1000, 10))
+        report = check_order_consistency_range(cache, 40)
+        assert report.passed
+        assert {s["reason"] for s in report.skipped} == {"incomplete factorization"}
+        assert report.checked == 40
+
+    def test_order_consistency_factors_nothing_on_a_warm_cache(self, monkeypatch, cache_2i):
+        cache_2i.sweep(24)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return factorize(*args, **kwargs)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("wieferich.")]:
+            if getattr(module, "factorize", None) is factorize:
+                monkeypatch.setattr(module, "factorize", spy)
+        report = check_order_consistency_range(cache_2i, 24)
+        assert report.passed and report.checked > 0
+        assert calls == []
 
     def test_full_verification_sweeps_use_its_budget(self, d2_field):
         # each sweep report of the bundle equals the standalone check on a
