@@ -7,14 +7,17 @@ degenerates, are rejected.
 
 For a fixed base a the identity (a^n - 1) = prod over d | n of (Phi_d(a))
 means every prime of (a^n - 1) lies in some divisor level, so a sweep over
-levels n factors each cyclotomic value once, and reads the exact valuations
-of the rational primes certified at the divisor levels off a^n - 1.
+levels n factors each cyclotomic value once.  When every divisor level is
+complete, (a^n - 1) is the product of their ideals; otherwise the exact
+valuations of the rational primes certified at the divisor levels are read
+off a^n - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .intfactor import FactorBudget, small_factors
@@ -194,8 +197,13 @@ def decompose(cache: CycloFactorCache, n: int) -> Decomposition:
         raise ValueError("level must be >= 1")
     a = cache.a
     power_value = a**n - 1
-    primes = {P.p for d in divisors(n) for P in cache.level(d).exponents}
-    power_ideal = _exact_factorization(power_value, sorted(primes))
+    levels = [cache.level(d) for d in divisors(n)]
+    if all(level.complete for level in levels):
+        # (a^n - 1) is the product of the Phi_d(a), d | n
+        power_ideal = reduce(IdealFactorization.mul, levels)
+    else:
+        primes = {P.p for level in levels for P in level.exponents}
+        power_ideal = _exact_factorization(power_value, sorted(primes))
     level = cache.level(n)
     squarefree = power_ideal.squarefree_part()
     powerful = power_ideal.powerful_part()

@@ -10,9 +10,10 @@ element's norm demands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .intfactor import FactorBudget, factorize, is_probable_prime, padic_valuation
+from .intfactor import FactorBudget, factorize, is_probable_prime, padic_valuation, sqrt_mod_prime
 from .qfield import FieldSpec, InvariantViolation, QuadInt
 
 KIND_SPLIT = "split"
@@ -26,46 +27,6 @@ _KIND_ORDER = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 class BudgetExhausted(RuntimeError):
     """A step needed a complete factorization the effort budget could not deliver."""
-
-
-def sqrt_mod_prime(n: int, p: int) -> int | None:
-    """A square root of n modulo the odd prime p, or None for a non-residue.
-
-    One power and a square check at p = 3 mod 4, Atkin's formula (one power
-    and a square check) at p = 5 mod 8, Tonelli-Shanks after an Euler test
-    at p = 1 mod 8.
-    """
-    n %= p
-    if n == 0:
-        return 0
-    if p % 4 == 3:
-        r = pow(n, (p + 1) // 4, p)
-        return r if r * r % p == n else None
-    if p % 8 == 5:
-        # 2 is a non-residue, so i = (2n)**((p-1)/4) is a square root of -1 for residue n
-        v = pow(2 * n, (p - 5) // 8, p)
-        i = 2 * n * v * v % p
-        r = n * v * (i - 1) % p
-        return r if r * r % p == n else None
-    half = (p - 1) // 2
-    if pow(n, half, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, probe = 0, t
-        while probe != 1:
-            probe = probe * probe % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
 
 
 @dataclass(frozen=True)
@@ -249,7 +210,11 @@ def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None)
     group_size = P.norm - 1
     if group_size == 0:
         return 1
-    decomposition = factorize(group_size, budget)
+    budget = budget or FactorBudget()
+    # trial division to past sqrt(group_size) already completes the factorization;
+    # the power of two bounds the sieve limits primes_up_to caches
+    limit = min(budget.trial_limit, 1 << math.isqrt(group_size).bit_length())
+    decomposition = factorize(group_size, FactorBudget(limit, budget.rho_iterations))
     if not decomposition.complete:
         raise BudgetExhausted(f"cannot fully factor {group_size} to compute an order")
     return _order_dividing(P, a, group_size, decomposition.factors)

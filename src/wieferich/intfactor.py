@@ -18,11 +18,16 @@ Montgomery's x-only ladder (Math. Comp. 48, 1987) to B1 = 2000, then a
 baby-step giant-step stage 2 with D = 2310 that covers the primes up to
 B2 = 100 * B1.  An effort of at most 10**5 runs rho alone.
 
-Primality is certified, never assumed: below the published deterministic
-Miller-Rabin bound the fixed-base test is exact, above it a Pocklington
-certificate is attempted from a partial factorization of n - 1.  When the
-budget runs out the result carries the unfactored cofactor and is
-flagged incomplete instead of silently pretending.
+Primality is certified, never assumed.  Below psi_13, the least strong
+pseudoprime to the 13 prime bases 2..41, those bases are exact.  Above it
+certify_prime tries, in order: Pocklington on the trial-division factors of
+n - 1; an Atkin-Morain ECPP chain (Goldwasser-Kilian, J. ACM 46, 1999;
+Atkin-Morain, Math. Comp. 61, 1993) whose curves have complex multiplication
+by one of the nine class-number-one discriminants, so their j-invariants are
+integers and no class polynomial is needed; and Pocklington with n - 1 split
+under the full budget.  The first two do not depend on the budget.  When the
+budget runs out the result carries the unfactored cofactor and is flagged
+incomplete instead of silently pretending.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
 
-# Largest bound with a known 12-base deterministic Miller-Rabin witness set.
+# psi_13, the least strong pseudoprime to the 13 prime bases 2..41
+# (Sorenson-Webster, Math. Comp. 86, 2017): below it those bases are exact.
+# Base 41 is needed: psi_12 = 318665857834031151167461 fools 2..37.
 DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXTRA_PROBABLE_ROUNDS = 16
 _MAX_CERT_DEPTH = 6
 _TRIAL_BLOCK = 512
@@ -47,6 +54,18 @@ _ECM_FIRST_SIGMA = 6
 _ECM_B1 = 2000
 _ECM_B2 = 100 * _ECM_B1
 _ECM_D = 2310
+# the class-number-one discriminants -D and the j-invariants of their CM curves
+_CM_J_INVARIANTS = {
+    3: 0, 4: 1728, 7: -3375, 8: 8000, 11: -32768, 19: -884736,
+    43: -884736000, 67: -147197952000, 163: -262537412640768000,
+}
+# ECPP strips the primes below this bound from curve orders, and its
+# depth-first descent tries at most this many candidate orders per chain
+_ECPP_STRIP_BOUND = 1 << 16
+_ECPP_MAX_NODES = 64
+# (q, D, a, b, m, r, P): the curve y^2 = x^3 + a*x + b mod q with CM by D,
+# an order m = k * r and the point P = (x, y)
+EcppStep = tuple[int, int, int, int, int, int, tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -161,6 +180,46 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p, or None for a non-residue.
+
+    One power and a square check at p = 3 mod 4, Atkin's formula (one power
+    and a square check) at p = 5 mod 8, Tonelli-Shanks after an Euler test
+    at p = 1 mod 8.
+    """
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if p % 8 == 5:
+        # 2 is a non-residue, so i = (2n)**((p-1)/4) is a square root of -1 for residue n
+        v = pow(2 * n, (p - 5) // 8, p)
+        i = 2 * n * v * v % p
+        r = n * v * (i - 1) % p
+        return r if r * r % p == n else None
+    half = (p - 1) // 2
+    if pow(n, half, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, probe = 0, t
+        while probe != 1:
+            probe = probe * probe % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     """True when base a passes (n still possibly prime)."""
     x = pow(a, d, n)
@@ -199,7 +258,12 @@ def is_probable_prime(n: int) -> bool:
 
 
 def certify_prime(n: int, budget: FactorBudget | None = None, _depth: int = 0) -> bool | None:
-    """True (proved prime), False (proved composite), None (undecided in budget)."""
+    """True (proved prime), False (proved composite), None (undecided).
+
+    Above DETERMINISTIC_MR_BOUND three proofs are tried in order: Pocklington
+    on the trial-division factors of n - 1 alone, an Atkin-Morain ECPP chain,
+    and Pocklington with n - 1 split under the full budget.
+    """
     if n < 2:
         return False
     if n < DETERMINISTIC_MR_BOUND:
@@ -208,7 +272,14 @@ def certify_prime(n: int, budget: FactorBudget | None = None, _depth: int = 0) -
         return False
     if _depth >= _MAX_CERT_DEPTH:
         return None
-    return _pocklington(n, budget or FactorBudget(), _depth)
+    budget = budget or FactorBudget()
+    trial_only = FactorBudget(budget.trial_limit, 0)
+    verdict = _pocklington(n, trial_only, _depth)
+    if verdict is None and _ecpp_chain(n) is not None:
+        return True
+    if verdict is None and budget != trial_only:
+        return _pocklington(n, budget, _depth)
+    return verdict
 
 
 def _pocklington(n: int, budget: FactorBudget, depth: int) -> bool | None:
@@ -239,6 +310,189 @@ def _pocklington(n: int, budget: FactorBudget, depth: int) -> bool | None:
         if not settled:
             return None
     return True
+
+
+def _ecpp_bound(q: int) -> int:
+    """(floor(q**(1/4)) + 2)**2 > (q**(1/4) + 1)**2: a prime order r above it proves q."""
+    return (math.isqrt(math.isqrt(q)) + 2) ** 2
+
+
+@lru_cache(maxsize=1)
+def _ecpp_strip_product() -> int:
+    """The product of the primes below 2**16, which ECPP strips from curve orders."""
+    return math.prod(_prime_stream(_ECPP_STRIP_BOUND - 1))
+
+
+def _ec_multiple(k: int, x: int, y: int, a: int, q: int) -> tuple[int, int, int] | None:
+    """k * (x, y) for k >= 1 on y^2 = x^3 + a*x + b mod q, as Jacobian (X : Y : Z); Z = 0 is O.
+
+    Left-to-right double-and-add with mixed additions of the affine (x, y).
+    Every nonzero Z met, and every R that decides P + Q = O, joins one
+    product.  If that product is no unit mod q, q is composite and None is
+    returned; otherwise every branch taken mod q is the one taken mod each
+    prime p | q, so the result reduces to k * (x, y) over F_p.
+    """
+    units = 1
+
+    def double(X: int, Y: int, Z: int) -> tuple[int, int, int]:
+        nonlocal units
+        if Z == 0:
+            return X, Y, Z
+        yy = Y * Y % q
+        s = 4 * X * yy % q
+        zz = Z * Z % q
+        m = (3 * X * X + a * zz * zz) % q
+        x3 = (m * m - 2 * s) % q
+        z3 = 2 * Y * Z % q
+        if z3:
+            units = units * z3 % q
+        return x3, (m * (s - x3) - 8 * yy * yy) % q, z3
+
+    X, Y, Z = x, y, 1
+    for bit in bin(k)[3:]:
+        X, Y, Z = double(X, Y, Z)
+        if bit == "0":
+            continue
+        if Z == 0:
+            X, Y, Z = x, y, 1
+            continue
+        zz = Z * Z % q
+        h = (x * zz - X) % q
+        r = (y * zz * Z - Y) % q
+        if h == 0 and r == 0:
+            X, Y, Z = double(x, y, 1)
+        elif h == 0:
+            units = units * r % q
+            Z = 0
+        else:
+            hh = h * h % q
+            hhh = h * hh % q
+            v = X * hh % q
+            x3 = (r * r - hhh - 2 * v) % q
+            X, Y, Z = x3, (r * (v - x3) - Y * hhh) % q, Z * h % q
+            units = units * Z % q
+    if math.gcd(units, q) != 1:
+        return None
+    return X, Y, Z
+
+
+def _ecpp_step_holds(q: int, a: int, b: int, m: int, r: int, P: tuple[int, int]) -> bool:
+    """True when P on y^2 = x^3 + a*x + b proves q prime, given that r is prime.
+
+    The Goldwasser-Kilian criterion: Q = (m / r) * P is no O modulo any prime
+    p | q while r * Q = O, so Q has order r on the curve mod p, and
+    r <= (p**(1/2) + 1)**2 together with r > (q**(1/4) + 1)**2 leaves no
+    p <= q**(1/2).
+    """
+    if q < 5 or math.gcd(q, 6) != 1 or math.gcd(4 * a**3 + 27 * b**2, q) != 1:
+        return False
+    x, y = P[0] % q, P[1] % q
+    if (y * y - x**3 - a * x - b) % q != 0:
+        return False
+    if r <= _ecpp_bound(q) or m < r or m % r != 0:
+        return False
+    Q = _ec_multiple(m // r, x, y, a, q)
+    if Q is None or math.gcd(Q[2], q) != 1:
+        return False
+    inverse = pow(Q[2], -1, q)
+    R = _ec_multiple(r, Q[0] * inverse**2 % q, Q[1] * inverse**3 % q, a, q)
+    return R is not None and R[2] == 0
+
+
+def _cornacchia(q: int, d: int) -> tuple[int, int] | None:
+    """(t, s) with t**2 + d*s**2 = 4*q for the odd prime q, or None (Cohen, Algorithm 1.5.3)."""
+    x = sqrt_mod_prime(-d, q)
+    if x is None or (x * x + d) % q != 0:
+        return None
+    if (x - d) % 2:
+        x = q - x
+    a, t = 2 * q, x
+    limit = math.isqrt(4 * q)
+    while t > limit:
+        a, t = t, a % t
+    c, rest = divmod(4 * q - t * t, d)
+    s = math.isqrt(c)
+    return (t, s) if rest == 0 and s * s == c else None
+
+
+def _ecpp_candidates(q: int) -> list[tuple[int, int, int]]:
+    """(r, d, m) for each CM curve order m of q whose part r prime to the primes
+    below 2**16 is a probable prime past _ecpp_bound(q) and below m; smallest r first."""
+    found = []
+    for d in _CM_J_INVARIANTS:
+        ts = _cornacchia(q, d)
+        if ts is None:
+            continue
+        t, s = ts
+        traces = {3: (t, (t + 3 * s) // 2, (t - 3 * s) // 2), 4: (t, 2 * s)}.get(d, (t,))
+        for m in {q + 1 + sign * u for u in traces for sign in (1, -1)}:
+            r = m
+            g = math.gcd(_ecpp_strip_product() % m, m)
+            while g > 1:
+                r //= g
+                g = math.gcd(r, g)
+            if r < m and r > _ecpp_bound(q) and is_probable_prime(r):
+                found.append((r, d, m))
+    return sorted(found)
+
+
+def _ecpp_descent(q: int, nodes: Iterator[int]) -> list[tuple[int, int, int, int]] | None:
+    """(q, d, m, r) for each step from q down below DETERMINISTIC_MR_BOUND, by a
+    depth-first search over the candidates; None at a dead end or once the nodes run out."""
+    if q < DETERMINISTIC_MR_BOUND:
+        return []
+    for r, d, m in _ecpp_candidates(q):
+        if next(nodes, None) is None:
+            return None
+        rest = _ecpp_descent(r, nodes)
+        if rest is not None:
+            return [(q, d, m, r), *rest]
+    return None
+
+
+def _ecpp_twists(q: int, d: int) -> list[tuple[int, int]]:
+    """(a, b) of every twist of the curve with CM by discriminant -d over F_q.
+
+    c is a non-square, and at d = 3 also a non-cube, so its powers run
+    through the classes of F_q* modulo squares, fourth or sixth powers.
+    """
+    c = 2
+    while pow(c, (q - 1) // 2, q) == 1 or (d == 3 and pow(c, (q - 1) // 3, q) == 1):
+        c += 1
+    if d == 3:
+        return [(0, pow(c, i, q)) for i in range(6)]
+    if d == 4:
+        return [(pow(c, i, q), 0) for i in range(4)]
+    j = _CM_J_INVARIANTS[d]
+    k = j * pow(1728 - j, -1, q) % q
+    return [(3 * k % q, 2 * k % q), (3 * k * c * c % q, 2 * k * c**3 % q)]
+
+
+def _ecpp_chain(n: int) -> tuple[EcppStep, ...] | None:
+    """An Atkin-Morain proof of the probable prime n, or None.
+
+    Each step (q, D, a, b, m, r, P) is accepted by _ecpp_step_holds, and
+    each r is proved by the next step; the last r passed is_probable_prime
+    below DETERMINISTIC_MR_BOUND, where it is exact.
+    """
+    descent = _ecpp_descent(n, iter(range(_ECPP_MAX_NODES)))
+    if descent is None:
+        return None
+    chain: list[EcppStep] = []
+    for q, d, m, r in descent:
+        rng = random.Random(q)
+        for a, b in _ecpp_twists(q, d):
+            while True:
+                x = rng.randrange(q)
+                y = sqrt_mod_prime(x**3 + a * x + b, q)
+                if y is not None:
+                    break
+            if _ecpp_step_holds(q, a, b, m, r, (x, y)):
+                chain.append((q, -d, a, b, m, r, (x, y)))
+                break
+        else:
+            return None
+    return tuple(chain)
 
 
 def _integer_nth_root(n: int, k: int) -> int:

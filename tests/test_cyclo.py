@@ -326,7 +326,8 @@ class TestBudgetIndependence:
     @pytest.mark.parametrize("n", [61, 73, 79])
     def test_ecm_budget_certifies_default_exponents(self, base_2i, n):
         # 10**5 + 3 * 2**15 is past the rho share and buys two ECM curves after
-        # rho's 131 070 iterations; they split level 79's 84-bit composite
+        # rho's 131 070 iterations; they split level 79's 84-bit composite.
+        # Levels 61 and 73 hold only primes that ECPP proves at any budget.
         budgets = (FactorBudget(rho_iterations=10**5), FactorBudget(rho_iterations=10**5 + 3 * 2**15))
         full = decompose(_default_cache(base_2i), n)
         assert full.complete
@@ -338,7 +339,7 @@ class TestBudgetIndependence:
                                      (part.level_ideal, full.level_ideal)):
                 for P, e in ideal.exponents.items():
                     assert reference.exponent(P) == e, (n, budget, P.label())
-        assert completed == [False, n == 79]
+        assert completed == [n != 79, True]
 
     @settings(max_examples=15)
     @given(small_bases(), st.integers(1, 40), tiny_budgets)

@@ -1,7 +1,12 @@
 """Effort-bounded factorization against naive trial-division oracles."""
 
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from decimal import Decimal, getcontext
 from itertools import combinations, compress
 from math import isqrt
 from pathlib import Path
@@ -56,6 +61,15 @@ def full_array_sieve(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return list(compress(range(limit + 1), sieve))
+
+
+PSI_12 = 318665857834031151167461
+
+
+def odd_part(n: int) -> tuple[int, int]:
+    """(d, s) with n = d * 2**s and d odd."""
+    s = (n & -n).bit_length() - 1
+    return n >> s, s
 
 
 def naive_prime(n: int) -> bool:
@@ -117,6 +131,29 @@ class TestPrimality:
         assert p > DETERMINISTIC_MR_BOUND
         assert certify_prime(p) is True
         assert certify_prime(p * (2**61 - 1)) is False
+
+    def test_twelve_base_pseudoprime_is_refused(self):
+        # psi_12 is a strong pseudoprime to the 12 prime bases 2..37; base 41
+        # exposes it below the bound
+        p, q = 399165290221, 798330580441
+        assert p * q == PSI_12 < DETERMINISTIC_MR_BOUND
+        assert all(
+            intfactor._miller_rabin_round(PSI_12, a, *odd_part(PSI_12 - 1))
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        )
+        assert not intfactor._miller_rabin_round(PSI_12, 41, *odd_part(PSI_12 - 1))
+        assert not is_probable_prime(PSI_12)
+        assert certify_prime(PSI_12) is False
+        result = factorize(PSI_12)
+        assert result.factors == {p: 1, q: 1} and result.complete
+
+    def test_bound_is_the_thirteen_base_pseudoprime(self):
+        assert not is_probable_prime(DETERMINISTIC_MR_BOUND)
+        assert all(
+            intfactor._miller_rabin_round(DETERMINISTIC_MR_BOUND, a, *odd_part(DETERMINISTIC_MR_BOUND - 1))
+            for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        )
+        assert certify_prime(DETERMINISTIC_MR_BOUND) is False
 
 
 class TestHelpers:
@@ -403,3 +440,239 @@ def test_efforts_within_the_rho_share_keep_their_results(row):
     result = factorize(row["n"], FactorBudget(row["trial_limit"], row["rho_iterations"]))
     assert sorted([p, e] for p, e in result.factors.items()) == row["factors"]
     assert result.cofactor == row["cofactor"]
+
+
+# the primes above DETERMINISTIC_MR_BOUND that census -d 1 -a 2,1 --n-max 80 proves
+CENSUS_GAUSS_PRIMES = (
+    3550878809978795277956310481,
+    2329648300071491261807194529161,
+    1313756387718033230092827753030509,
+    4083812675629167639309400035131744437,
+    5551115123125782699294073819827146561,
+    355417856903951625637926246979059221821,
+    2060217667404538867445649680592653838363544001,
+)
+
+
+def ecpp_step(q: int):
+    """The first step of q's ECPP chain: (q, D, a, b, m, r, P)."""
+    chain = intfactor._ecpp_chain(q)
+    assert chain is not None and chain[0][0] == q
+    return chain[0]
+
+
+def twist_points(q: int, d: int, skip: tuple[int, int], rng: random.Random):
+    """A point on each twist of discriminant -d other than the curve `skip`."""
+    for a, b in intfactor._ecpp_twists(q, d):
+        if (a, b) == skip:
+            continue
+        while True:
+            x = rng.randrange(q)
+            y = intfactor.sqrt_mod_prime(x**3 + a * x + b, q)
+            if y is not None:
+                yield a, b, (x, y)
+                break
+
+
+def group_checks_hold(q, a, m, r, P) -> bool:
+    """r * ((m / r) * P) = O with (m / r) * P of unit Z: the checker minus its other conditions."""
+    Q = intfactor._ec_multiple(m // r, *P, a, q)
+    if Q is None or math.gcd(Q[2], q) != 1:
+        return False
+    inverse = pow(Q[2], -1, q)
+    R = intfactor._ec_multiple(r, Q[0] * inverse**2 % q, Q[1] * inverse**3 % q, a, q)
+    return R is not None and R[2] == 0
+
+
+def step_holds_with_bound(q, a, b, m, r, P, bound) -> bool:
+    """The checker's verdict with `bound` in place of q's least proving order."""
+    saved = intfactor._ecpp_bound
+    intfactor._ecpp_bound = lambda n: bound if n == q else saved(n)
+    try:
+        return intfactor._ecpp_step_holds(q, a, b, m, r, P)
+    finally:
+        intfactor._ecpp_bound = saved
+
+
+def safe_prime_above(n: int) -> tuple[int, int]:
+    """(q, r) with q = 2r + 1 > n and both prime."""
+    r = n // 2 | 1
+    while not (is_probable_prime(r) and is_probable_prime(2 * r + 1)):
+        r += 2
+    return 2 * r + 1, r
+
+
+def mutation_verdicts() -> dict[str, bool]:
+    """The checker's verdict on steps that each break one condition; all must be False.
+
+    Each mutant except the singular and composite ones is built so that the
+    rest of the step is right, and the case asserts it, so the verdict rests
+    on the one broken condition.
+    """
+    verdicts = {}
+    q, D, a, b, m, r, P = ecpp_step(CENSUS_GAUSS_PRIMES[-1])
+    d = -D
+    if not intfactor._ecpp_step_holds(q, a, b, m, r, P):
+        raise AssertionError("the unmutated step must hold")
+    k = m // r
+    # a wrong r: the next prime, with m = k * r kept consistent
+    wrong = next_prime(r)
+    verdicts["wrong r"] = intfactor._ecpp_step_holds(q, a, b, k * wrong, wrong, P)
+    # a point of another twist, whose group order is not m
+    for index, (ta, tb, point) in enumerate(twist_points(q, d, (a, b), random.Random(q))):
+        verdicts[f"twist {index}"] = intfactor._ecpp_step_holds(q, ta, tb, m, r, point)
+    # a point off the curve, and a curve that misses P: the group law never
+    # reads b, so the order checks alone would pass the second
+    verdicts["off curve"] = intfactor._ecpp_step_holds(q, a, b, m, r, (P[0], P[1] + 1))
+    verdicts["curve misses P"] = intfactor._ecpp_step_holds(q, a, b + 1, m, r, P)
+    # an m that is no multiple of r
+    verdicts["r does not divide m"] = intfactor._ecpp_step_holds(q, a, b, m + 1, r, P)
+    # r far below the bound: a prime of k whose order checks hold
+    ell = next(ell for ell in small_factors(k) if group_checks_hold(q, a, m, ell, P))
+    verdicts["small r"] = intfactor._ecpp_step_holds(q, a, b, m, ell, P)
+    # the step's own r at the bound, and one past it as the control
+    verdicts["r at the bound"] = step_holds_with_bound(q, a, b, m, r, P, r)
+    if not step_holds_with_bound(q, a, b, m, r, P, r - 1):
+        raise AssertionError("r past the bound must hold")
+    # the nodal cubic y^2 = (x - 1)^2 (x + 2) over a safe prime q = 2r + 1: its
+    # smooth points form F_q*, so every group check holds with m = q - 1
+    q2, r2 = safe_prime_above(2**100)
+    t = 12345
+    node = ((t * t - 2) % q2, (t * t - 3) * t % q2)
+    if not group_checks_hold(q2, q2 - 3, q2 - 1, r2, node):
+        raise AssertionError("the nodal cubic must pass the order checks")
+    verdicts["singular"] = intfactor._ecpp_step_holds(q2, q2 - 3, 2, q2 - 1, r2, node)
+    return verdicts
+
+
+def composite_verdicts(n: int, rng: random.Random) -> list[bool]:
+    """The checker's verdicts on random curves over Z/n and orders k * r with r a prime past the bound."""
+    verdicts = []
+    r = next_prime(intfactor._ecpp_bound(n))
+    for _ in range(6):
+        a, x, y = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        b = (y * y - x**3 - a * x) % n
+        for k in (2, 12, math.lcm(*range(1, 30)), n + 1):
+            verdicts.append(intfactor._ecpp_step_holds(n, a, b, k * r, r, (x, y)))
+    return verdicts
+
+
+def chernick_carmichael(k0: int) -> int:
+    """The first (6k + 1)(12k + 1)(18k + 1) with k >= k0 and all three factors prime."""
+    k = k0
+    while not all(is_probable_prime(c * k + 1) for c in (6, 12, 18)):
+        k += 1
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+class TestECPP:
+    """The Atkin-Morain chain that proves primes past the Miller-Rabin bound."""
+
+    def test_census_gauss_primes_need_no_budget(self):
+        for p in CENSUS_GAUSS_PRIMES:
+            assert certify_prime(p, FactorBudget(10**3, 0)) is True, p
+
+    def test_chain_steps_link_and_hold(self):
+        chain = intfactor._ecpp_chain(CENSUS_GAUSS_PRIMES[-1])
+        assert chain[0][0] == CENSUS_GAUSS_PRIMES[-1]
+        for (q, D, a, b, m, r, P), following in zip(chain, [*chain[1:], None]):
+            assert D in (-3, -4, -7, -8, -11, -19, -43, -67, -163)
+            assert intfactor._ecpp_step_holds(q, a, b, m, r, P)
+            assert m // r > 1 and m % r == 0
+            assert (r >= DETERMINISTIC_MR_BOUND) == (following is not None)
+            if following is not None:
+                assert following[0] == r
+        assert is_probable_prime(chain[-1][5])
+
+    def test_chain_is_deterministic(self):
+        p = CENSUS_GAUSS_PRIMES[-2]
+        assert intfactor._ecpp_chain(p) == intfactor._ecpp_chain(p)
+
+    def test_agrees_with_sympy(self):
+        # with nine discriminants some primes have no usable curve order, and
+        # then certify_prime falls back to Pocklington
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2024)
+        proved = 0
+        for bits in range(90, 341, 25):
+            p = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+            chain = intfactor._ecpp_chain(p)
+            if chain is not None:
+                proved += 1
+                assert chain[0][0] == p
+                assert all(sympy.isprime(step[5]) for step in chain)
+            assert certify_prime(p * sympy.nextprime(p)) is False
+        assert proved >= 6
+
+    def test_mutations_are_rejected(self):
+        verdicts = mutation_verdicts()
+        assert len(verdicts) >= 8
+        assert not any(verdicts.values()), verdicts
+
+    def test_mutations_are_rejected_under_optimize(self):
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_intfactor\n"
+            "print(json.dumps(test_intfactor.mutation_verdicts()))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(intfactor.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == mutation_verdicts()
+
+    def test_semiprimes_yield_no_step(self):
+        rng = random.Random(60)
+        for _ in range(4):
+            n = next_prime(rng.getrandbits(60) | 1 << 59) * next_prime(rng.getrandbits(60) | 1 << 59)
+            assert not any(composite_verdicts(n, rng)), n
+
+    def test_carmichael_numbers_yield_no_step(self):
+        rng = random.Random(561)
+        for k0 in (10**12, 10**16, 10**20):
+            n = chernick_carmichael(k0)
+            assert pow(2, n - 1, n) == 1
+            assert not any(composite_verdicts(n, rng)), n
+
+    def test_thirteen_base_pseudoprime_yields_no_step(self):
+        assert not any(composite_verdicts(DETERMINISTIC_MR_BOUND, random.Random(13)))
+
+    def test_order_prime_to_one_factor_only_is_caught(self):
+        # y^2 = x^3 + x has p + 1 points mod a prime p = 3 mod 4, so with
+        # n = p1 * p2 and m = (p1 + 1) * (p2 + 1), (m / r) * P is O mod p1 but
+        # not mod p2: its Z has the factor p1, and the checker must refuse it
+        p1 = next_prime(2**40)
+        while p1 % 4 != 3:
+            p1 = next_prime(p1)
+        r = next_prime(2**86)
+        while not (is_probable_prime(4 * r - 1) and r > intfactor._ecpp_bound(p1 * (4 * r - 1))):
+            r = next_prime(r)
+        p2 = 4 * r - 1
+        n = p1 * p2
+        rng = random.Random(7)
+        while True:
+            x = rng.randrange(n)
+            y1 = intfactor.sqrt_mod_prime(x**3 + x, p1)
+            y2 = intfactor.sqrt_mod_prime(x**3 + x, p2)
+            if y1 and y2:
+                break
+        y = (y1 * p2 * pow(p2, -1, p1) + y2 * p1 * pow(p1, -1, p2)) % n
+        m = (p1 + 1) * (p2 + 1)
+        assert intfactor._ec_multiple(m // r, x, y, 1, n) is None
+        assert intfactor._ecpp_step_holds(n, 1, 0, m, r, (x, y)) is False
+
+    def test_bound_exceeds_the_theorem_bound(self):
+        # (floor(q**(1/4)) + 2)**2 > (q**(1/4) + 1)**2, checked in exact decimals
+        getcontext().prec = 120
+        for q in (DETERMINISTIC_MR_BOUND, *CENSUS_GAUSS_PRIMES, 10**100 + 267, 2**340 - 3):
+            fourth = Decimal(q).sqrt().sqrt()
+            assert Decimal(intfactor._ecpp_bound(q)) > (fourth + 1) ** 2
+
+    def test_strip_product_leaves_no_sieve_resident(self):
+        primes_up_to.cache_clear()
+        intfactor._ecpp_strip_product.cache_clear()
+        assert intfactor._ecpp_strip_product() == math.prod(full_array_sieve(2**16))
+        assert primes_up_to.cache_info().currsize == 0
