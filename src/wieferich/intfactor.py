@@ -14,9 +14,10 @@ ECM curves at _ECM_CURVE_PRICE = 2**15 iterations each (Lenstra, Ann. Math.
 126, 1987).  The curves are Suyama's, sigma = 6, 7, ... in order, one
 sequence per factorization, so no curve is retried on a piece of a number it
 already failed on and every result is deterministic.  Each curve runs
-Montgomery's x-only ladder (Math. Comp. 48, 1987) to B1 = 2000, then a
-baby-step giant-step stage 2 with D = 2310 that covers the primes up to
-B2 = 100 * B1.  An effort of at most 10**5 runs rho alone.
+Montgomery's x-only ladder to B1 = 2000 from the affine start point
+u**3 / v**3, then a baby-step giant-step stage 2 with D = 2310 that covers
+the primes up to B2 = 100 * B1 and normalises all its points with one
+inversion (Montgomery, Math. Comp. 48, 1987).
 
 Primality is certified, never assumed.  Below psi_13, the least strong
 pseudoprime to the 13 prime bases 2..41, those bases are exact.  Above it
@@ -37,7 +38,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, count
+from itertools import accumulate, compress, count
 
 # psi_13, the least strong pseudoprime to the 13 prime bases 2..41
 # (Sorenson-Webster, Math. Comp. 86, 2017): below it those bases are exact.
@@ -170,8 +171,8 @@ def small_factors(n: int) -> dict[int, int]:
 
 def padic_valuation(n: int, p: int) -> int:
     """Exponent of the prime p in n != 0."""
-    if n == 0:
-        raise ValueError("0 has infinite valuation")
+    if n == 0 or p < 2:
+        raise ValueError("valuations are of n != 0 at primes p >= 2")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -202,10 +203,8 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     half = (p - 1) // 2
     if pow(n, half, p) != 1:
         return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
+    q = (p - 1) >> s
     z = 2
     while pow(z, half, p) != p - 1:
         z += 1
@@ -241,11 +240,8 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
     for a in _MR_BASES:
         if not _miller_rabin_round(n, a, d, s):
             return False
@@ -290,24 +286,19 @@ def _pocklington(n: int, budget: FactorBudget, depth: int) -> bool | None:
     """
     nm1 = n - 1
     partial = _factor_with_budget(nm1, budget, depth + 1)
-    factored_part = 1
-    for p, e in partial.factors.items():
-        factored_part *= p**e
+    factored_part = math.prod(p**e for p, e in partial.factors.items())
     if factored_part * factored_part <= n:
         return None
     for q in partial.factors:
-        settled = False
         for a in range(2, 64):
             if pow(a, nm1, n) != 1:
                 return False
             g = math.gcd(pow(a, nm1 // q, n) - 1, n)
-            if g == n:
-                continue
-            if g > 1:
+            if 1 < g < n:
                 return False
-            settled = True
-            break
-        if not settled:
+            if g == 1:
+                break
+        else:
             return None
     return True
 
@@ -497,8 +488,6 @@ def _ecpp_chain(n: int) -> tuple[EcppStep, ...] | None:
 
 def _integer_nth_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1."""
-    if k == 1:
-        return n
     if k == 2:
         return math.isqrt(n)
     x = 1 << (-(-n.bit_length() // k))
@@ -572,15 +561,20 @@ def _x_add(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int
     return diff[1] * (u + v) * (u + v) % n, diff[0] * (u - v) * (u - v) % n
 
 
-def _ladder(k: int, point: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
-    """k * point for k >= 1 by Montgomery's ladder; R1 - R0 = point throughout."""
-    r0, r1 = point, _x_double(*point, a24, n)
+def _x_ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """k * (x : 1) for k >= 1 by Montgomery's ladder; R1 - R0 = (x : 1) throughout."""
+    x0, z0, (x1, z1) = x, 1, _x_double(x, 1, a24, n)
     for bit in bin(k)[3:]:
+        p0, m0, p1, m1 = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        u, v = m0 * p1 % n, p0 * m1 % n
+        xa, za = (u + v) * (u + v) % n, x * (u - v) * (u - v) % n  # R0 + R1, the difference's z = 1
         if bit == "1":
-            r0, r1 = _x_add(r1, r0, point, n), _x_double(*r1, a24, n)
+            s, d = p1 * p1 % n, m1 * m1 % n
+            x0, z0, x1, z1 = xa, za, s * d % n, (t := s - d) * (d + a24 * t) % n
         else:
-            r0, r1 = _x_double(*r0, a24, n), _x_add(r1, r0, point, n)
-    return r0
+            s, d = p0 * p0 % n, m0 * m0 % n
+            x0, z0, x1, z1 = s * d % n, (t := s - d) * (d + a24 * t) % n, xa, za
+    return x0, z0
 
 
 @lru_cache(maxsize=1)
@@ -599,10 +593,7 @@ def _ecm_plan() -> tuple[int, tuple[int, ...], tuple[tuple[int, bytes], ...]]:
     marks: dict[int, bytearray] = {}
     for q in _prime_stream(_ECM_B2):
         if q <= _ECM_B1:
-            power = q
-            while power * q <= _ECM_B1:
-                power *= q
-            multiplier *= power
+            multiplier *= q ** next(e for e in count(1) if q ** (e + 1) > _ECM_B1)
             continue
         m = (q + _ECM_D // 2) // _ECM_D
         marks.setdefault(m, bytearray(len(residues)))[position[abs(q - m * _ECM_D)]] = 1
@@ -611,36 +602,45 @@ def _ecm_plan() -> tuple[int, tuple[int, ...], tuple[tuple[int, bytes], ...]]:
 
 
 def _ecm_curve(n: int, sigma: int) -> int | None:
-    """One ECM curve on odd composite n: a proper factor of n, or None."""
+    """One ECM curve on odd composite n: a proper factor of n, or None.
+
+    Stage 1 runs from the affine x = u**3 / v**3 of Suyama's curve.  Stage 2
+    inverts the product of all its points' z once, after taking its gcd with
+    n, and recovers each 1 / z from prefix and suffix products (Montgomery 1987).
+    """
     multiplier, residues, schedule = _ecm_plan()
-    u = (sigma * sigma - 5) % n
-    v = 4 * sigma % n
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
     denominator = 16 * pow(u, 3, n) * v % n
     g = math.gcd(denominator, n)
     if g > 1:
         return g if g < n else None
     a24 = pow(v - u, 3, n) * (3 * u + v) * pow(denominator, -1, n) % n
-    q = _ladder(multiplier, (pow(u, 3, n), pow(v, 3, n)), a24, n)
+    # v is a unit once the denominator is, so x = u**3 / v**3 exists
+    q = _x_ladder(multiplier, pow(u, 3, n) * pow(v, -3, n) % n, a24, n)
     g = math.gcd(q[1], n)
     if g > 1:
         return g if g < n else None
+    xq = q[0] * pow(q[1], -1, n) % n
     # baby steps j*Q for odd j < D/2, from (j + 2)Q = jQ + 2Q with difference (j - 2)Q
-    twice = _x_double(*q, a24, n)
-    babies = {1: q, 3: _x_add(twice, q, q, n)}
+    twice = _x_double(xq, 1, a24, n)
+    babies = {1: (xq, 1), 3: _x_add(twice, (xq, 1), (xq, 1), n)}
     for j in range(5, _ECM_D // 2, 2):
         babies[j] = _x_add(babies[j - 2], twice, babies[j - 4], n)
     # giant steps m*G, G = D*Q, from (m + 1)G = mG + G with difference (m - 1)G
-    giant = _ladder(_ECM_D, q, a24, n)
+    giant = _x_ladder(_ECM_D, xq, a24, n)
     giants = {1: giant, 2: _x_double(*giant, a24, n)}
     for m in range(3, schedule[-1][0] + 1):
         giants[m] = _x_add(giants[m - 1], giant, giants[m - 2], n)
-    # affine x of every point stage 2 compares, once each z is known to be invertible
-    babies = [babies[j] for j in residues]
-    g = math.gcd(math.prod(z for _, z in [*babies, *giants.values()]) % n, n)
+    points = [*(babies[j] for j in residues), *giants.values()]
+    prefix = list(accumulate((z for _, z in points), lambda a, z: a * z % n, initial=1))
+    g = math.gcd(prefix[-1], n)
     if g > 1:
         return g if g < n else None
-    baby_x = [x * pow(z, -1, n) % n for x, z in babies]
-    giant_x = {m: x * pow(z, -1, n) % n for m, (x, z) in giants.items()}
+    inverse = pow(prefix[-1], -1, n)
+    # suffix[i] = z[i] * ... * z[-1] / prefix[-1], so x[i] / z[i] = x[i] * prefix[i] * suffix[i + 1]
+    suffix = [*accumulate((z for _, z in reversed(points)), lambda a, z: a * z % n, initial=inverse)][::-1]
+    affine = [x * before * after % n for (x, _), before, after in zip(points, prefix, suffix[1:])]
+    baby_x, giant_x = affine, dict(zip(giants, affine[len(residues):]))
     product = 1
     for m, steps in schedule:
         xm = giant_x[m]

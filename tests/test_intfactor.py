@@ -163,6 +163,11 @@ class TestHelpers:
         assert n % p**v == 0
         assert n % p ** (v + 1) != 0
 
+    @pytest.mark.parametrize("p", [1, 0, -1, -2])
+    def test_padic_valuation_rejects_non_primes_below_two(self, p):
+        with pytest.raises(ValueError):
+            padic_valuation(5, p)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_small_factors_match_naive(self, n):
         factors = small_factors(n)
@@ -313,28 +318,52 @@ def ecm_multiplier(b1: int) -> int:
     return out
 
 
+def affine_add(s, t, a: int, b: int, p: int):
+    """s + t on b*y**2 = x**3 + a*x**2 + x over F_p in affine coordinates; None is O."""
+    if s is None or t is None:
+        return t if s is None else s
+    (x1, y1), (x2, y2) = s, t
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (b * slope * slope - a - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
 def affine_multiple(k: int, point, a: int, b: int, p: int):
     """k * point on b*y**2 = x**3 + a*x**2 + x over F_p in affine coordinates; None is O."""
-
-    def add(s, t):
-        if s is None or t is None:
-            return t if s is None else s
-        (x1, y1), (x2, y2) = s, t
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            slope = (3 * x1 * x1 + 2 * a * x1 + 1) * pow(2 * b * y1, -1, p) % p
-        else:
-            slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (b * slope * slope - a - x1 - x2) % p
-        return x3, (slope * (x1 - x3) - y1) % p
-
     out = None
     for bit in bin(k)[2:]:
-        out = add(out, out)
+        out = affine_add(out, out, a, b, p)
         if bit == "1":
-            out = add(out, point)
+            out = affine_add(out, point, a, b, p)
     return out
+
+
+def suyama_curve(sigma: int, p: int) -> tuple[int, int, int] | None:
+    """(a, b, x) of Suyama's curve for sigma over F_p, with its start point (x, 1); None when degenerate."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    if (u * v * (v - u) * (3 * u + v)) % p == 0:
+        return None
+    a = (pow(v - u, 3, p) * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
+    x = u**3 * pow(v**3, -1, p) % p
+    b = (x**3 + a * x * x + x) % p
+    return (a, b, x) if b and (a * a - 4) % p else None
+
+
+def dies_through_one_prime(point, a: int, b: int, p: int, primes: list[int]):
+    """The prime q of `primes` with q * point = O, walking q * point up the increasing primes; or None."""
+    steps = {gap: affine_multiple(gap, point, a, b, p) for gap in {t - s for s, t in zip(primes, primes[1:])}}
+    walk = affine_multiple(primes[0], point, a, b, p)
+    for q, following in zip(primes, [*primes[1:], None]):
+        if walk is None:
+            return q
+        if following is not None:
+            walk = affine_add(walk, steps[following - q], a, b, p)
+    return None
 
 
 class TestECM:
@@ -380,14 +409,52 @@ class TestECM:
         # meets only in its last giant step
         p, sigma, q = 2399027, 7, 199889
         assert (q + _ECM_D // 2) // _ECM_D == (_ECM_B2 + _ECM_D // 2) // _ECM_D
-        u, v = sigma * sigma - 5, 4 * sigma
-        a = (pow(v - u, 3, p) * (3 * u + v) * pow(4 * u**3 * v, -1, p) - 2) % p
-        x = u**3 * pow(v**3, -1, p) % p
-        b = (x**3 + a * x * x + x) % p
+        a, b, x = suyama_curve(sigma, p)
         after_stage1 = affine_multiple(ecm_multiplier(_ECM_B1), (x, 1), a, b, p)
         assert after_stage1 is not None
         assert affine_multiple(q, after_stage1, a, b, p) is None
         assert _ecm_curve(p * (2**61 - 1), sigma) == p
+
+    def test_curve_finds_every_prime_the_oracle_kills(self):
+        # a 61-bit cofactor whose curves never die: whenever the point dies mod
+        # p in stage 1, or through one prime q in (B1, B2] in stage 2, the
+        # curve must return p
+        rng = random.Random(1987)
+        stage2_primes = [q for q in full_array_sieve(_ECM_B2) if q > _ECM_B1]
+        multiplier = ecm_multiplier(_ECM_B1)
+        deaths = {"stage 1": 0, "stage 2": 0}
+        for _ in range(20):
+            p = next_prime(rng.getrandbits(rng.randint(16, 22)) | 1 << 15)
+            for sigma in (6, 7, 11, 23):
+                curve = suyama_curve(sigma, p)
+                if curve is None:
+                    continue
+                a, b, x = curve
+                after_stage1 = affine_multiple(multiplier, (x, 1), a, b, p)
+                if after_stage1 is None:
+                    deaths["stage 1"] += 1
+                elif dies_through_one_prime(after_stage1, a, b, p, stage2_primes) is not None:
+                    deaths["stage 2"] += 1
+                else:
+                    continue
+                assert _ecm_curve(p * (2**61 - 1), sigma) == p, (p, sigma)
+        assert min(deaths.values()) >= 5, deaths
+
+    def test_plan_covers_each_stage2_prime_once(self):
+        multiplier, residues, schedule = intfactor._ecm_plan()
+        assert multiplier == ecm_multiplier(_ECM_B1)
+        assert residues == tuple(j for j in range(1, _ECM_D // 2, 2) if all(j % q for q in (3, 5, 7, 11)))
+        assert len(residues) == 240
+        scheduled = [(m, i) for m, steps in schedule for i in steps]
+        assert len(set(scheduled)) == len(scheduled)
+        stage2_primes = {q for q in full_array_sieve(_ECM_B2) if q > _ECM_B1}
+        covers = {q: 0 for q in stage2_primes}
+        for m, i in scheduled:
+            hits = {m * _ECM_D + residues[i], m * _ECM_D - residues[i]} & stage2_primes
+            assert hits, (m, i)
+            for q in hits:
+                covers[q] += 1
+        assert set(covers.values()) == {1}
 
     def test_sigma_runs_on_across_the_cofactors(self, monkeypatch):
         # three primes of 40-42 bits: a curve splits the product, and the next
@@ -425,6 +492,19 @@ class TestECM:
         result = factorize(n, FactorBudget(rho_iterations=effort))
         assert result.cofactor == n
         assert calls == list(range(6, 6 + curves))
+
+
+def ecm_curve_table() -> list[dict]:
+    with open(Path(__file__).parent / "data" / "ecm_curve_table.json") as handle:
+        return json.load(handle)["rows"]
+
+
+def test_ecm_curves_keep_their_captured_results():
+    rows = ecm_curve_table()
+    assert {"stage 1", "stage 2 points", "stage 2", "none"} <= {row["stage"] for row in rows}
+    assert any(row["result"] is None and row["stage"] != "none" for row in rows)
+    for row in rows:
+        assert _ecm_curve(row["n"], row["sigma"]) == row["result"], row
 
 
 def budget_table() -> list[dict]:
