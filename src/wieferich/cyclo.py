@@ -15,12 +15,16 @@ off a^n - 1.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .intfactor import FactorBudget, small_factors
+from .intfactor import FactorBudget, FactorResult, factorize, small_factors
 from .ideals import IdealFactorization, _exact_factorization, factor_principal
 from .qfield import QuadInt
 
@@ -119,9 +123,12 @@ class CycloFactorCache:
     """The one carrier of a base a and its effort budget; factors Phi_n(a) once per level.
 
     value(n) holds Phi_n(a) and level(n) its ideal factorization, one copy
-    each.  level(n) is the one reader of cache.budget: level readers that
-    share a sweep take the cache, so a base and the budget its levels are
-    factored under cannot disagree."""
+    each.  level(n) and factor_levels are the readers of cache.budget: level
+    readers that share a sweep take the cache, so a base and the budget its
+    levels are factored under cannot disagree.  factor_levels(levels)
+    factors the norms of many levels at once on the process's CPUs, ahead of
+    level(n), which then reads each level off its norm's factorization;
+    every result, and every exception, is the one level(n) alone gives."""
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
@@ -130,6 +137,8 @@ class CycloFactorCache:
         self.budget = budget or FactorBudget()
         self._values: dict[int, QuadInt] = {}
         self._levels: dict[int, IdealFactorization] = {}
+        # factorize(|Nm Phi_n(a)|, budget), or the exception it raised, until level(n) reads it
+        self._norms: dict[int, FactorResult | Exception] = {}
         self._decompositions: list[Decomposition] = []
 
     def value(self, n: int) -> QuadInt:
@@ -141,14 +150,85 @@ class CycloFactorCache:
     def level(self, n: int) -> IdealFactorization:
         """The ideal factorization of Phi_n(a) under cache.budget, factored once per cache."""
         if n not in self._levels:
-            self._levels[n] = factor_principal(self.value(n), self.budget)
+            norm = self._norms.pop(n, None)
+            if isinstance(norm, Exception):
+                raise norm
+            self._levels[n] = factor_principal(self.value(n), self.budget, norm)
         return self._levels[n]
+
+    def factor_levels(self, levels: Iterable[int]) -> None:
+        """Factor the norms of the given levels now, in forked workers on every usable CPU.
+
+        The parent evaluates each Phi_n(a); one worker per CPU in the
+        affinity mask, and at most one per norm that trial division alone
+        cannot finish (above trial_limit**2), factors the norms, largest
+        first (Graham's longest-processing-time rule).  Every worker has
+        exited when this returns.  factorize is a pure function of (norm,
+        budget), so level(n) then gives exactly what it gives without this
+        call, exceptions included.  With one CPU, fewer than two such norms,
+        no fork, or other threads running, nothing happens here, and
+        level(n) factors each level in-process when it is first read.
+        """
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+        # a fork copies no other thread, but it does copy the locks they hold
+        if cpus < 2 or threading.active_count() > 1:
+            return
+        norms = {n: self.value(n).abs_norm() for n in set(levels) - self._levels.keys()}
+        large = sum(nm > self.budget.trial_limit**2 for nm in norms.values())
+        if large < 2:
+            return
+        try:
+            self._norms.update(_factor_in_pool(norms, self.budget, min(cpus, large)))
+        except OSError:
+            pass  # the pool could not start: level(n) factors in-process
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""
         for n in range(len(self._decompositions) + 1, n_max + 1):
             self._decompositions.append(decompose(self, n))
         return self._decompositions[: max(n_max, 0)]
+
+
+def _factor_in_pool(norms: dict[int, int], budget: FactorBudget,
+                    workers: int) -> dict[int, FactorResult | Exception]:
+    """factorize(norm, budget), or the exception it raised, for each level's
+    norm, in forked workers that take the largest norm first."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # no worker may replay output still buffered in the parent
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (os.getpid(),))
+    try:
+        jobs = {n: pool.submit(factorize, norms[n], budget) for n in sorted(norms, key=norms.get, reverse=True)}
+        # a worker that died leaves its levels to level(n)
+        return {n: job.exception() or job.result() for n, job in jobs.items()
+                if not isinstance(job.exception(), BrokenProcessPool)}
+    except BaseException:
+        # stop the workers now rather than wait for their current norms;
+        # the executor has no public call for that before Python 3.14
+        for process in pool._processes.values():
+            process.kill()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _start_worker(parent: int) -> None:
+    """Ignore SIGINT, which the parent handles, and exit soon after the parent dies."""
+    import signal
+    import time
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intfactor import FactorBudget, factorize, is_probable_prime, padic_valuation, sqrt_mod_prime
+from .intfactor import FactorBudget, FactorResult, factorize, is_probable_prime, padic_valuation, sqrt_mod_prime
 from .qfield import FieldSpec, InvariantViolation, QuadInt
 
 KIND_SPLIT = "split"
@@ -333,11 +333,18 @@ def _exact_factorization(gamma: QuadInt, rational_primes) -> IdealFactorization:
     return IdealFactorization(field, exponents, nm // known)
 
 
-def factor_principal(gamma: QuadInt, budget: FactorBudget | None = None) -> IdealFactorization:
-    """Factor the principal ideal (gamma) within the effort budget."""
+def factor_principal(gamma: QuadInt, budget: FactorBudget | None = None,
+                     norm: FactorResult | None = None) -> IdealFactorization:
+    """Factor the principal ideal (gamma) within the effort budget.
+
+    norm, when given, is factorize(|Nm(gamma)|, budget) computed elsewhere,
+    and (gamma) is read off it in place of a new factorization.
+    """
     if gamma.is_zero:
         raise ValueError("cannot factor the zero ideal")
     nm = gamma.abs_norm()
     if nm == 1:
         return IdealFactorization(gamma.field)
-    return _exact_factorization(gamma, sorted(factorize(nm, budget).factors))
+    if norm is None:
+        norm = factorize(nm, budget)
+    return _exact_factorization(gamma, sorted(norm.factors))

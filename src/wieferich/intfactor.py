@@ -529,7 +529,7 @@ def _brent_rho(n: int, max_iters: int, attempt: int) -> tuple[int | None, int]:
             chunk = min(m, r - k)
             for _ in range(chunk):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             count += chunk
             g = math.gcd(q, n)
             k += m

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
-from .cyclo import CycloFactorCache, decompose
+from .cyclo import CycloFactorCache, decompose, divisors
 from .ideals import (
     BudgetExhausted,
     KIND_INERT,
@@ -185,6 +185,11 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     become records once they pass the unramified and residue-characteristic
     filters.  Exclusions and skipped levels are logged, and each record is
     re-verified non-Wieferich on the way out.
+
+    Before the sweep, cache.factor_levels factors every level it will read,
+    the divisors of each k*m, on every CPU in the affinity mask, and shuts
+    its workers down before the sweep starts.  The result is the one-CPU
+    result, byte for byte.
     """
     bucket = classify_base(a)
     if bucket not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
@@ -209,8 +214,11 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
         record_at = set(primes_up_to(n_max))
     else:
         record_at = set(range(1, n_max + 1))
+    top = max(record_at, default=0)
+    # decompose reads every level d | k*m
+    cache.factor_levels({d for m in range(1, top + 1) for d in divisors(k * m)})
     seen: set[PrimeIdeal] = set()
-    for m in range(1, max(record_at, default=0) + 1):
+    for m in range(1, top + 1):
         level = k * m
         dec = decompose(cache, level)
         recorded = m in record_at
