@@ -46,7 +46,7 @@ def _add_common(sub: argparse.ArgumentParser, base_required: bool = True) -> Non
         sub.add_argument("-a", required=True, metavar="X[,Y]",
                          help="base element coordinates in the integral basis")
     sub.add_argument("--trial-limit", type=int, default=None,
-                     help="trial division bound (default 10^6, env " + ENV_TRIAL_LIMIT + ")")
+                     help="trial division bound, 2 to 10^7 (default 10^6, env " + ENV_TRIAL_LIMIT + ")")
     sub.add_argument("--rho-iterations", type=int, default=None,
                      help="splitting effort per composite cofactor, in rho iterations: rho is given"
                           " 10^5 of it and the rest buys ECM curves (B1 = 2000, B2 = 2*10^5,"

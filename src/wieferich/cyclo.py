@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .intfactor import FactorBudget, FactorResult, factorize, small_factors
+from .intfactor import FactorBudget, small_factors
 from .ideals import IdealFactorization, _exact_factorization, factor_principal
 from .qfield import QuadInt
 
@@ -126,9 +126,9 @@ class CycloFactorCache:
     each.  level(n) and factor_levels are the readers of cache.budget: level
     readers that share a sweep take the cache, so a base and the budget its
     levels are factored under cannot disagree.  factor_levels(levels)
-    factors the norms of many levels at once on the process's CPUs, ahead of
-    level(n), which then reads each level off its norm's factorization;
-    every result, and every exception, is the one level(n) alone gives."""
+    factors many levels at once on the process's CPUs, ahead of level(n),
+    which then returns each finished level, or raises the exception its
+    factorization raised: every result is the one level(n) alone gives."""
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
@@ -136,9 +136,8 @@ class CycloFactorCache:
         self.a = a
         self.budget = budget or FactorBudget()
         self._values: dict[int, QuadInt] = {}
-        self._levels: dict[int, IdealFactorization] = {}
-        # factorize(|Nm Phi_n(a)|, budget), or the exception it raised, until level(n) reads it
-        self._norms: dict[int, FactorResult | Exception] = {}
+        # a worker's exception stays here until level(n) raises it
+        self._levels: dict[int, IdealFactorization | Exception] = {}
         self._decompositions: list[Decomposition] = []
 
     def value(self, n: int) -> QuadInt:
@@ -149,38 +148,39 @@ class CycloFactorCache:
 
     def level(self, n: int) -> IdealFactorization:
         """The ideal factorization of Phi_n(a) under cache.budget, factored once per cache."""
+        if isinstance(self._levels.get(n), Exception):
+            raise self._levels.pop(n)
         if n not in self._levels:
-            norm = self._norms.pop(n, None)
-            if isinstance(norm, Exception):
-                raise norm
-            self._levels[n] = factor_principal(self.value(n), self.budget, norm)
+            self._levels[n] = factor_principal(self.value(n), self.budget)
         return self._levels[n]
 
     def factor_levels(self, levels: Iterable[int]) -> None:
-        """Factor the norms of the given levels now, in forked workers on every usable CPU.
+        """Factor the given levels and their divisor levels now, in forked
+        workers on every usable CPU.
 
-        The parent evaluates each Phi_n(a); one worker per CPU in the
-        affinity mask, and at most one per norm that trial division alone
-        cannot finish (above trial_limit**2), factors the norms, largest
-        first (Graham's longest-processing-time rule).  Every worker has
-        exited when this returns.  factorize is a pure function of (norm,
-        budget), so level(n) then gives exactly what it gives without this
-        call, exceptions included.  With one CPU, fewer than two such norms,
-        no fork, or other threads running, nothing happens here, and
-        level(n) factors each level in-process when it is first read.
+        The parent evaluates each Phi_d(a).  One worker per CPU in the
+        affinity mask, and at most one per norm above trial_limit**2 (which
+        trial division alone cannot finish), returns factor_principal's
+        finished levels, largest norm first (Graham's longest-processing-time
+        rule); all have exited when this returns.  level(d) then gives
+        exactly what it gives without this call, exceptions included.  With
+        one CPU, fewer than two such norms, no fork, or other threads
+        running, nothing happens here.
         """
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
         # a fork copies no other thread, but it does copy the locks they hold
         if cpus < 2 or threading.active_count() > 1:
             return
-        norms = {n: self.value(n).abs_norm() for n in set(levels) - self._levels.keys()}
+        closure = {d for n in levels for d in divisors(n)} - self._levels.keys()
+        norms = {d: self.value(d).abs_norm() for d in closure}
         large = sum(nm > self.budget.trial_limit**2 for nm in norms.values())
         if large < 2:
             return
+        values = {d: self.value(d) for d in sorted(norms, key=norms.get, reverse=True)}
         try:
-            self._norms.update(_factor_in_pool(norms, self.budget, min(cpus, large)))
+            self._levels.update(_factor_in_pool(values, self.budget, min(cpus, large)))
         except OSError:
-            pass  # the pool could not start: level(n) factors in-process
+            pass  # the pool could not start: level(d) factors in-process
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""
@@ -189,10 +189,10 @@ class CycloFactorCache:
         return self._decompositions[: max(n_max, 0)]
 
 
-def _factor_in_pool(norms: dict[int, int], budget: FactorBudget,
-                    workers: int) -> dict[int, FactorResult | Exception]:
-    """factorize(norm, budget), or the exception it raised, for each level's
-    norm, in forked workers that take the largest norm first."""
+def _factor_in_pool(values: dict[int, QuadInt], budget: FactorBudget,
+                    workers: int) -> dict[int, IdealFactorization | Exception]:
+    """factor_principal(Phi_n(a), budget), or the exception it raised, for
+    each level n, in forked workers that take the levels in the given order."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -202,12 +202,12 @@ def _factor_in_pool(norms: dict[int, int], budget: FactorBudget,
     sys.stderr.flush()
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (os.getpid(),))
     try:
-        jobs = {n: pool.submit(factorize, norms[n], budget) for n in sorted(norms, key=norms.get, reverse=True)}
+        jobs = {n: pool.submit(factor_principal, value, budget) for n, value in values.items()}
         # a worker that died leaves its levels to level(n)
         return {n: job.exception() or job.result() for n, job in jobs.items()
                 if not isinstance(job.exception(), BrokenProcessPool)}
     except BaseException:
-        # stop the workers now rather than wait for their current norms;
+        # stop the workers now rather than wait for their current levels;
         # the executor has no public call for that before Python 3.14
         for process in pool._processes.values():
             process.kill()

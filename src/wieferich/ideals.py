@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intfactor import FactorBudget, FactorResult, factorize, is_probable_prime, padic_valuation, sqrt_mod_prime
+from .intfactor import FactorBudget, certify_prime, factorize, padic_valuation, sqrt_mod_prime
 from .qfield import FieldSpec, InvariantViolation, QuadInt
 
 KIND_SPLIT = "split"
@@ -99,9 +99,15 @@ def _places_over(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
 
 
 def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
-    """The primes of the ring over the rational prime p, split pair sorted by t."""
-    if p < 2 or not is_probable_prime(p):
+    """The primes of the ring over the rational prime p, split pair sorted by t.
+
+    p must be proved prime by certify_prime under the default budget.
+    """
+    verdict = certify_prime(p)
+    if verdict is False:
         raise ValueError(f"{p} is not prime")
+    if verdict is None:
+        raise ValueError(f"no proof reached the probable prime {p}")
     return _places_over(field, p)
 
 
@@ -333,18 +339,11 @@ def _exact_factorization(gamma: QuadInt, rational_primes) -> IdealFactorization:
     return IdealFactorization(field, exponents, nm // known)
 
 
-def factor_principal(gamma: QuadInt, budget: FactorBudget | None = None,
-                     norm: FactorResult | None = None) -> IdealFactorization:
-    """Factor the principal ideal (gamma) within the effort budget.
-
-    norm, when given, is factorize(|Nm(gamma)|, budget) computed elsewhere,
-    and (gamma) is read off it in place of a new factorization.
-    """
+def factor_principal(gamma: QuadInt, budget: FactorBudget | None = None) -> IdealFactorization:
+    """Factor the principal ideal (gamma) within the effort budget."""
     if gamma.is_zero:
         raise ValueError("cannot factor the zero ideal")
     nm = gamma.abs_norm()
     if nm == 1:
         return IdealFactorization(gamma.field)
-    if norm is None:
-        norm = factorize(nm, budget)
-    return _exact_factorization(gamma, sorted(norm.factors))
+    return _exact_factorization(gamma, sorted(factorize(nm, budget).factors))

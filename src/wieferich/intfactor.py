@@ -21,14 +21,13 @@ inversion (Montgomery, Math. Comp. 48, 1987).
 
 Primality is certified, never assumed.  Below psi_13, the least strong
 pseudoprime to the 13 prime bases 2..41, those bases are exact.  Above it
-certify_prime tries, in order: Pocklington on the trial-division factors of
-n - 1; an Atkin-Morain ECPP chain (Goldwasser-Kilian, J. ACM 46, 1999;
-Atkin-Morain, Math. Comp. 61, 1993) whose curves have complex multiplication
-by one of the nine class-number-one discriminants, so their j-invariants are
-integers and no class polynomial is needed; and Pocklington with n - 1 split
-under the full budget.  The first two do not depend on the budget.  When the
-budget runs out the result carries the unfactored cofactor and is flagged
-incomplete instead of silently pretending.
+certify_prime tries, in order: an Atkin-Morain ECPP chain (Goldwasser-Kilian,
+J. ACM 46, 1999; Atkin-Morain, Math. Comp. 61, 1993) whose curves have
+complex multiplication by one of the nine class-number-one discriminants, so
+their j-invariants are integers and no class polynomial is needed; then
+Pocklington with n - 1 factored under the budget.  Only the second depends
+on the budget.  When the budget runs out the result carries the unfactored
+cofactor and is flagged incomplete instead of silently pretending.
 """
 
 from __future__ import annotations
@@ -44,6 +43,8 @@ from itertools import accumulate, compress, count
 # (Sorenson-Webster, Math. Comp. 86, 2017): below it those bases are exact.
 # Base 41 is needed: psi_12 = 318665857834031151167461 fools 2..37.
 DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
+# the trial-division sieve and its block products take about 26 MiB at 10**7
+_MAX_TRIAL_LIMIT = 10**7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXTRA_PROBABLE_ROUNDS = 16
 _MAX_CERT_DEPTH = 6
@@ -71,8 +72,8 @@ EcppStep = tuple[int, int, int, int, int, int, tuple[int, int]]
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Effort caps: the trial division bound, and the splitting effort per
-    composite cofactor counted in rho iterations.
+    """Effort caps: the trial division bound, 2 to 10**7, and the splitting
+    effort per composite cofactor counted in rho iterations.
 
     Rho is given min(rho_iterations, 10**5) of that effort; what it leaves
     buys ECM curves (B1 = 2000, B2 = 2 * 10**5, Suyama sigma = 6, 7, ...)
@@ -84,7 +85,7 @@ class FactorBudget:
     rho_iterations: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.trial_limit < 2 or self.rho_iterations < 0:
+        if not 2 <= self.trial_limit <= _MAX_TRIAL_LIMIT or self.rho_iterations < 0:
             raise ValueError("budget parameters out of range")
 
 
@@ -256,9 +257,9 @@ def is_probable_prime(n: int) -> bool:
 def certify_prime(n: int, budget: FactorBudget | None = None, _depth: int = 0) -> bool | None:
     """True (proved prime), False (proved composite), None (undecided).
 
-    Above DETERMINISTIC_MR_BOUND three proofs are tried in order: Pocklington
-    on the trial-division factors of n - 1 alone, an Atkin-Morain ECPP chain,
-    and Pocklington with n - 1 split under the full budget.
+    Above DETERMINISTIC_MR_BOUND a probable prime gets two proofs in order:
+    an Atkin-Morain ECPP chain, which does not depend on the budget, and
+    Pocklington with n - 1 factored under the budget.
     """
     if n < 2:
         return False
@@ -268,14 +269,9 @@ def certify_prime(n: int, budget: FactorBudget | None = None, _depth: int = 0) -
         return False
     if _depth >= _MAX_CERT_DEPTH:
         return None
-    budget = budget or FactorBudget()
-    trial_only = FactorBudget(budget.trial_limit, 0)
-    verdict = _pocklington(n, trial_only, _depth)
-    if verdict is None and _ecpp_chain(n) is not None:
+    if _ecpp_chain(n) is not None:
         return True
-    if verdict is None and budget != trial_only:
-        return _pocklington(n, budget, _depth)
-    return verdict
+    return _pocklington(n, budget or FactorBudget(), _depth)
 
 
 def _pocklington(n: int, budget: FactorBudget, depth: int) -> bool | None:

@@ -24,7 +24,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
-from .cyclo import CycloFactorCache, decompose, divisors
+from .cyclo import CycloFactorCache, decompose
 from .ideals import (
     BudgetExhausted,
     KIND_INERT,
@@ -186,10 +186,10 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     filters.  Exclusions and skipped levels are logged, and each record is
     re-verified non-Wieferich on the way out.
 
-    Before the sweep, cache.factor_levels factors every level it will read,
-    the divisors of each k*m, on every CPU in the affinity mask, and shuts
-    its workers down before the sweep starts.  The result is the one-CPU
-    result, byte for byte.
+    Before the sweep, cache.factor_levels factors the levels k*m and their
+    divisor levels, which decompose reads, on every CPU in the affinity mask;
+    its workers return finished levels and are shut down before the sweep
+    starts.  The result is the one-CPU result, byte for byte.
     """
     bucket = classify_base(a)
     if bucket not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
@@ -215,8 +215,7 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     else:
         record_at = set(range(1, n_max + 1))
     top = max(record_at, default=0)
-    # decompose reads every level d | k*m
-    cache.factor_levels({d for m in range(1, top + 1) for d in divisors(k * m)})
+    cache.factor_levels(k * m for m in range(1, top + 1))
     seen: set[PrimeIdeal] = set()
     for m in range(1, top + 1):
         level = k * m

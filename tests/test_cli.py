@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,12 +28,35 @@ def parse_json_lines(text):
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
-def run_package(args, **kwargs):
-    """Run the interpreter on this package in a subprocess, WIEFERICH_* variables unset."""
+def run_package(args, environ=None, python=sys.executable, **kwargs):
+    """Run an interpreter on this package in a subprocess, with WIEFERICH_*
+    variables unset but for those in environ."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("WIEFERICH_")}
+    env.update(environ or {})
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+    return subprocess.run([python, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+# reads a JSON list of argv from stdin, writes [exit code, stdout, stderr] of each
+REPLAY = (
+    "import contextlib, io, json, sys\n"
+    "from wieferich import cli\n"
+    "out = []\n"
+    "for argv in json.load(sys.stdin):\n"
+    "    stdout, stderr = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+    "        code = cli.main(argv)\n"
+    "    out.append([code, stdout.getvalue(), stderr.getvalue()])\n"
+    "sys.stdout.write(json.dumps(out))\n"
+)
+
+
+def replay(argvs, *flags, python=sys.executable):
+    """[exit code, stdout, stderr] of each CLI call, run in one subprocess."""
+    proc = run_package([*flags, "-c", REPLAY], python=python, input=json.dumps(argvs), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_golden_outputs_byte_identical(capsys, monkeypatch):
@@ -51,23 +76,30 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
 
 def test_golden_outputs_unchanged_under_optimize():
     """The golden cases replayed under python -O: no output depends on assert."""
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from wieferich import cli\n"
-        "out = []\n"
-        "for argv in json.load(sys.stdin):\n"
-        "    stdout, stderr = io.StringIO(), io.StringIO()\n"
-        "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
-        "        code = cli.main(argv)\n"
-        "    out.append([code, stdout.getvalue(), stderr.getvalue()])\n"
-        "sys.stdout.write(json.dumps(out))\n"
-    )
-    proc = run_package(["-O", "-c", script], input=json.dumps([case["argv"] for case in GOLDEN]))
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    got = replay([case["argv"] for case in GOLDEN], "-O")
     assert len(got) == len(GOLDEN) == 29
     for case, result in zip(GOLDEN, got):
         assert result == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
+
+
+CENSUS_GAUSS = ["census", "-d", "1", "-a", "2,1", "--n-max", "80"]
+
+
+@pytest.mark.parametrize("minor", range(10, 14))
+def test_golden_outputs_unchanged_under_other_interpreters(minor):
+    """The package promises Python 3.10 and later, and the census pool leans on
+    executor details that differ between versions: the golden cases and a
+    pooled census must print the same bytes under every CPython found."""
+    if sys.version_info[:2] == (3, minor):
+        pytest.skip("the running interpreter")
+    python = shutil.which(f"python3.{minor}")
+    if python is None or subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode:
+        pytest.skip(f"no runnable python3.{minor}")
+    *got, census = replay([case["argv"] for case in GOLDEN] + [CENSUS_GAUSS], python=python)
+    for case, result in zip(GOLDEN, got, strict=True):
+        assert result == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
+    assert census == replay([CENSUS_GAUSS])[0]
+    assert census[0] == 0 and census[2] == ""
 
 
 class TestFieldCommand:
@@ -321,6 +353,18 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err == f"error: {variable} must be an integer, got '{value}'\n"
+
+    @pytest.mark.parametrize("flags, environ", [
+        (["--trial-limit", "10000001"], {}),
+        ([], {cli.ENV_TRIAL_LIMIT: "10000001"}),
+    ])
+    def test_trial_limit_past_the_cap_exits_before_any_sieve(self, flags, environ):
+        start = time.monotonic()
+        proc = run_package(["-m", "wieferich.cli", "census", "-d", "1", "-a", "2,1", "--n-max", "20", *flags],
+                           environ, timeout=60)
+        assert time.monotonic() - start < 1
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: budget parameters out of range\n"
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["bogus"]) == 1

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wieferich import cli
+from wieferich import FactorBudget, cli
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs in the affinity mask")
@@ -177,6 +177,37 @@ def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys):
     assert cli.main(CENSUS_K2) == 0
     assert capsys.readouterr() == serial
     assert len(pools) == 1
+
+
+@needs_two_cpus
+@needs_fork
+def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch):
+    """factor_levels hands the pool the same factor_principal call level(d) makes."""
+    import concurrent.futures
+    from wieferich import FieldSpec, ideals, intfactor
+    from wieferich.cyclo import CycloFactorCache, divisors
+
+    submit, submitted = concurrent.futures.ProcessPoolExecutor.submit, []
+
+    def recording(self, fn, *args):
+        submitted.append((fn, args))
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording)
+    budget = FactorBudget(trial_limit=2)
+    cache = CycloFactorCache(FieldSpec.from_d(1).element(2, 1), budget)
+    cache.factor_levels([12])
+    levels = sorted(divisors(12), key=lambda d: cache.value(d).abs_norm(), reverse=True)
+    assert levels == [12, 3, 4, 6, 2, 1]
+    assert submitted == [(ideals.factor_principal, (cache.value(d), budget)) for d in levels]
+    assert len(pools) == 1
+    in_process = {d: ideals.factor_principal(cache.value(d), budget) for d in levels}
+
+    def refuse(*args):
+        raise AssertionError("a finished level was factored again")
+
+    monkeypatch.setattr(intfactor, "_factor_with_budget", refuse)
+    assert {d: cache.level(d) for d in levels} == in_process
 
 
 def test_cli_import_loads_no_pool_modules():

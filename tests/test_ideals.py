@@ -25,6 +25,7 @@ from wieferich import (
     residue_pow,
     residue_reduce,
 )
+from wieferich import cli, ideals
 from wieferich.ideals import lifted_root, sqrt_mod_prime
 from wieferich.intfactor import padic_valuation, primes_up_to
 
@@ -108,6 +109,20 @@ class TestSplitting:
     def test_rejects_composite(self, gauss_field):
         with pytest.raises(ValueError):
             primes_above(gauss_field, 6)
+
+    def test_large_prime_is_proved(self, gauss_field):
+        # 2**127 - 1 is 3 mod 4, so inert in Z[i]; ECPP proves it
+        (P,) = primes_above(gauss_field, 2**127 - 1)
+        assert P.kind == KIND_INERT and P.p == 2**127 - 1
+
+    def test_unproved_probable_prime_is_refused(self, gauss_field, monkeypatch, capsys):
+        p = 2**127 - 1
+        monkeypatch.setattr(ideals, "certify_prime", lambda n: None)
+        with pytest.raises(ValueError, match=str(p)):
+            primes_above(gauss_field, p)
+        monkeypatch.delenv(cli.ENV_TRIAL_LIMIT, raising=False)
+        assert cli.main(["classify", "-d", "1", "-a", "2,1", "--prime", str(p)]) == 1
+        assert capsys.readouterr() == ("", f"error: no proof reached the probable prime {p}\n")
 
 
 class TestModularHelpers:

@@ -248,6 +248,11 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(-6)
 
+    def test_trial_limit_is_capped_where_its_sieve_stays_small(self):
+        assert FactorBudget(10**7).trial_limit == 10**7
+        with pytest.raises(ValueError, match="budget parameters out of range"):
+            FactorBudget(10**7 + 1)
+
     def test_factor_one_is_trivial(self):
         result = factorize(1)
         assert result.complete and result.factors == {} and reassembled(result) == 1
@@ -648,9 +653,33 @@ def chernick_carmichael(k0: int) -> int:
 class TestECPP:
     """The Atkin-Morain chain that proves primes past the Miller-Rabin bound."""
 
-    def test_census_gauss_primes_need_no_budget(self):
+    @staticmethod
+    def pocklington_spy(monkeypatch) -> list[int]:
+        """The n of every _pocklington call from now on."""
+        calls = []
+        pocklington = intfactor._pocklington
+
+        def spy(n, budget, depth):
+            calls.append(n)
+            return pocklington(n, budget, depth)
+
+        monkeypatch.setattr(intfactor, "_pocklington", spy)
+        return calls
+
+    def test_census_gauss_primes_need_no_budget(self, monkeypatch):
+        # the chain proves each of them before any Pocklington call
+        calls = self.pocklington_spy(monkeypatch)
         for p in CENSUS_GAUSS_PRIMES:
             assert certify_prime(p, FactorBudget(10**3, 0)) is True, p
+        assert calls == []
+
+    def test_pocklington_proves_a_prime_no_chain_reaches(self, monkeypatch):
+        # a 139-bit prime of level 160 of census -d 1 -a 2,1
+        q = 433680868994201773602564634132105306674641
+        assert intfactor._ecpp_chain(q) is None
+        calls = self.pocklington_spy(monkeypatch)
+        assert certify_prime(q) is True
+        assert calls[0] == q
 
     def test_chain_steps_link_and_hold(self):
         chain = intfactor._ecpp_chain(CENSUS_GAUSS_PRIMES[-1])
