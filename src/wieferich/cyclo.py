@@ -21,8 +21,10 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import repeat
 from math import gcd
+from operator import gt, mul
 
 from .intfactor import FactorBudget, small_factors
 from .ideals import IdealFactorization, _exact_factorization, factor_principal
@@ -78,26 +80,38 @@ def totient_density_constant(k: int) -> Fraction:
     return value
 
 
+@lru_cache(maxsize=1)
+def _totient_table(limit: int) -> tuple[int, ...]:
+    """phi(0..limit) from one totient_sieve call, immutable, kept for the last limit only."""
+    return tuple(totient_sieve(limit))
+
+
 def high_totient_count(x: int, k: int) -> int:
     """How many n <= x satisfy phi(n*k) > (2/3) * c(k) * n * k, strictly.
 
     c(k) is totient_density_constant(k).  With g = gcd(n, k),
-    phi(n*k) = phi(n) * phi(k) * g / phi(g), and g <= n, so one sieve of phi
-    up to x serves every n.  The comparison is multiplied through by phi(g)
-    and cleared of denominators, so it runs on exact integers and ties (for
-    instance n = 3, k = 1) are excluded.
+    phi(n*k) = phi(n) * phi(k) * g / phi(g), and g <= n, so one table of
+    phi(0..x) serves every n and every k.  The comparison is multiplied
+    through by phi(g) and cleared of denominators, so it runs on exact
+    integers and ties (for instance n = 3, k = 1) are excluded.
+
+    The table is built once per x and kept for the last x only: calls for
+    many k at one x sieve once, and the table holds x + 1 ints while the
+    process lives (about 1.1 MB at x = 30000).  Every n = r (mod k) has
+    gcd(n, k) = gcd(r, k), so each residue class r in 1..min(k, x) is
+    counted in one pass over phi[r::k].
     """
     if x < 1 or k < 1:
         raise ValueError("both arguments must be >= 1")
     c = totient_density_constant(k)
-    phi = totient_sieve(x)
+    phi = _totient_table(x)
     left = 3 * c.denominator * euler_phi(k)
     right = 2 * c.numerator * k
     count = 0
-    for n in range(1, x + 1):
-        g = gcd(n, k)
-        if left * phi[n] * g > right * n * phi[g]:
-            count += 1
+    for r in range(1, min(k, x) + 1):
+        g = gcd(r, k)
+        count += sum(map(gt, map(mul, phi[r::k], repeat(left * g)),
+                         map(mul, range(r, x + 1, k), repeat(right * phi[g]))))
     return count
 
 

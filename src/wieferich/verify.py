@@ -375,11 +375,14 @@ def exception_set_union(d_max: int) -> list[tuple[int, QuadInt]]:
     """Union of exception sets over squarefree d <= d_max, rational entries once.
 
     Returns (d, element) pairs: rational integers are tagged with d = 0 and
-    deduplicated across fields; everything else keeps its field's d.
+    deduplicated across fields; everything else keeps its field's d.  No
+    field with d > 11 adds an element, so every d_max >= 11 gives the same
+    union and the work is bounded whatever d_max is.
     """
     union: list[tuple[int, QuadInt]] = []
     seen_rational: set[int] = set()
-    for d in range(1, d_max + 1):
+    # for d > 11, |disc| > 12 leaves only y = 0 and x in {-1, 0, 1}, which d = 1 adds
+    for d in range(1, min(d_max, 11) + 1):
         if not is_squarefree(d):
             continue
         for element in exception_set([d])[d]:

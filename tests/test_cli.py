@@ -65,7 +65,8 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
     The cases cover the README examples, low-budget levels left incomplete,
     a prime-level census, a small-base census, the decompose error paths and
     the CSV tables of classify (including a place the base lies in), decompose,
-    quality and field.
+    quality and field, and an exceptions bound of 10**12, far past the last
+    field that adds an element.
     """
     monkeypatch.delenv(cli.ENV_TRIAL_LIMIT, raising=False)
     monkeypatch.delenv(cli.ENV_RHO_ITERATIONS, raising=False)
@@ -77,7 +78,7 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
 def test_golden_outputs_unchanged_under_optimize():
     """The golden cases replayed under python -O: no output depends on assert."""
     got = replay([case["argv"] for case in GOLDEN], "-O")
-    assert len(got) == len(GOLDEN) == 29
+    assert len(got) == len(GOLDEN) == 30
     for case, result in zip(GOLDEN, got):
         assert result == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
 

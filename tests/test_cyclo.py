@@ -198,9 +198,10 @@ class TestTotientDensity:
             1 for n in range(1, x + 1) if 3 * c.denominator * phi[n * k] > 2 * c.numerator * n * k
         )
 
-    @pytest.mark.parametrize("x", [1, 2, 3, 10, 97, 1000])
+    # k = 6, 30 and 60 above x <= 5: residue classes r > x hold no n <= x
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 5, 10, 97, 1000])
     def test_counts_match_sieve_to_x_times_k(self, x):
-        for k in range(1, 31):
+        for k in [*range(1, 31), 60]:
             assert high_totient_count(x, k) == self.sieve_count(x, k), k
 
     @given(st.integers(1, 500), st.integers(1, 60))
@@ -219,6 +220,34 @@ class TestTotientDensity:
     def test_positive_density(self):
         for k in range(1, 11):
             assert high_totient_count(1000, k) > 0
+
+    def test_changing_x_never_reads_a_stale_table(self):
+        for x in (10**4, 97, 10**4, 1):
+            for k in (1, 2, 6, 7, 30):
+                assert high_totient_count(x, k) == self.sieve_count(x, k), (x, k)
+
+    def test_mutating_a_sieve_leaves_counts_alone(self):
+        expected = [self.sieve_count(500, k) for k in (1, 6)]
+        assert [high_totient_count(500, k) for k in (1, 6)] == expected
+        phi = cyclo.totient_sieve(500)
+        phi[:] = [0] * len(phi)
+        assert [high_totient_count(500, k) for k in (1, 6)] == expected
+
+    def test_one_sieve_per_x(self, monkeypatch):
+        high_totient_count(1, 1)  # leave no table for x = 3000 behind
+        calls = []
+        real = cyclo.totient_sieve
+
+        def spy(limit):
+            calls.append(limit)
+            return real(limit)
+
+        monkeypatch.setattr(cyclo, "totient_sieve", spy)
+        for k in range(1, 11):
+            high_totient_count(3000, k)
+        assert calls == [3000]
+        high_totient_count(2999, 1)
+        assert calls == [3000, 2999]
 
 
 class TestCacheAndDecompose:

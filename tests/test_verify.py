@@ -28,6 +28,7 @@ from wieferich import (
     run_full_verification,
 )
 from wieferich.qfield import BASIS_HALF
+from wieferich import verify
 from wieferich.verify import bound_trend_report
 
 
@@ -242,6 +243,25 @@ class TestExceptionSet:
         assert len(union) == 33
         for _, a in union:
             assert abs(a.norm()) <= 3
+
+    def test_fields_past_11_add_nothing(self):
+        # |disc| > 12 leaves only the rational -1, 0 and 1, which d = 1 adds
+        for d in range(12, 200):
+            if all(d % (p * p) for p in range(2, 15)):
+                assert {(a.x, a.y) for a in exception_set([d])[d]} == {(-1, 0), (0, 0), (1, 0)}, d
+
+    def test_union_work_is_bounded_for_huge_d_max(self, monkeypatch):
+        calls = []
+        real = verify.is_squarefree
+
+        def spy(d):
+            calls.append(d)
+            if len(calls) > 50:
+                raise AssertionError("exception_set_union walks every d up to d_max")
+            return real(d)
+
+        monkeypatch.setattr(verify, "is_squarefree", spy)
+        assert exception_set_union(10**12) == exception_set_union(11)
 
 
 class TestQuality:
