@@ -15,9 +15,6 @@ off a^n - 1.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +23,7 @@ from itertools import repeat
 from math import gcd
 from operator import gt, mul
 
+from . import workers
 from .intfactor import FactorBudget, small_factors
 from .ideals import IdealFactorization, _exact_factorization, factor_principal
 from .qfield import QuadInt
@@ -172,77 +170,36 @@ class CycloFactorCache:
         """Factor the given levels and their divisor levels now, in forked
         workers on every usable CPU.
 
-        The parent evaluates each Phi_d(a).  One worker per CPU in the
-        affinity mask, and at most one per norm above trial_limit**2 (which
-        trial division alone cannot finish), returns factor_principal's
-        finished levels, largest norm first (Graham's longest-processing-time
-        rule); all have exited when this returns.  level(d) then gives
-        exactly what it gives without this call, exceptions included.  With
-        one CPU, fewer than two such norms, no fork, or other threads
-        running, nothing happens here.
+        The parent evaluates each Phi_d(a).  Through workers.fork_map, one
+        worker per usable CPU, and at most one per norm above trial_limit**2
+        (which trial division alone cannot finish), takes the levels largest
+        norm first (Graham's longest-processing-time rule), each as soon as it
+        is free, and returns factor_principal's finished level; all have
+        exited when this returns.  level(d) then gives exactly what it gives
+        without this call, exceptions included, and factors in-process any
+        level whose worker died.  With one usable CPU (see
+        workers.usable_cpus) or fewer than two such norms, nothing happens
+        here.
         """
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-        # a fork copies no other thread, but it does copy the locks they hold
-        if cpus < 2 or threading.active_count() > 1:
+        cpus = workers.usable_cpus()
+        if cpus < 2:
             return
         closure = {d for n in levels for d in divisors(n)} - self._levels.keys()
         norms = {d: self.value(d).abs_norm() for d in closure}
         large = sum(nm > self.budget.trial_limit**2 for nm in norms.values())
         if large < 2:
             return
-        values = {d: self.value(d) for d in sorted(norms, key=norms.get, reverse=True)}
-        try:
-            self._levels.update(_factor_in_pool(values, self.budget, min(cpus, large)))
-        except OSError:
-            pass  # the pool could not start: level(d) factors in-process
+        order = sorted(norms, key=norms.get, reverse=True)
+        done = workers.fork_map(factor_principal, [(self.value(d), self.budget) for d in order],
+                                min(cpus, large))
+        # a level no worker finished is left to level(d)
+        self._levels.update((order[i], result) for i, result in done.items())
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""
         for n in range(len(self._decompositions) + 1, n_max + 1):
             self._decompositions.append(decompose(self, n))
         return self._decompositions[: max(n_max, 0)]
-
-
-def _factor_in_pool(values: dict[int, QuadInt], budget: FactorBudget,
-                    workers: int) -> dict[int, IdealFactorization | Exception]:
-    """factor_principal(Phi_n(a), budget), or the exception it raised, for
-    each level n, in forked workers that take the levels in the given order."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # no worker may replay output still buffered in the parent
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker, (os.getpid(),))
-    try:
-        jobs = {n: pool.submit(factor_principal, value, budget) for n, value in values.items()}
-        # a worker that died leaves its levels to level(n)
-        return {n: job.exception() or job.result() for n, job in jobs.items()
-                if not isinstance(job.exception(), BrokenProcessPool)}
-    except BaseException:
-        # stop the workers now rather than wait for their current levels;
-        # the executor has no public call for that before Python 3.14
-        for process in pool._processes.values():
-            process.kill()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _start_worker(parent: int) -> None:
-    """Ignore SIGINT, which the parent handles, and exit soon after the parent dies."""
-    import signal
-    import time
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(0.1)
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
 
 
 @dataclass(frozen=True)

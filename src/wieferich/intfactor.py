@@ -112,19 +112,22 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(_prime_stream(limit))
 
 
-def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT) -> Iterator[int]:
-    """Yield the primes <= bound in increasing order from a segmented sieve.
+def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT, start: int = 0) -> Iterator[int]:
+    """Yield the primes p with start <= p <= bound in increasing order from a
+    segmented sieve.
 
-    Each segment is a bytearray over `segment` consecutive odd numbers, crossed
-    off by the odd primes <= sqrt(bound), so memory stays flat as bound grows.
-    Those come from the stream itself, a recursion that ends below 2 and
-    leaves primes_up_to's cache alone.
+    Each segment is a bytearray over `segment` consecutive odd numbers from
+    the first odd number >= max(start, 3), crossed off by the odd primes
+    <= sqrt(bound), so memory stays flat as bound - start grows.  Those come
+    from the stream itself, a recursion that ends below 2 and leaves
+    primes_up_to's cache alone.
     """
-    if bound < 2:
+    if bound < max(start, 2):
         return
-    yield 2
+    if start <= 2:
+        yield 2
     sieving = list(_prime_stream(math.isqrt(bound)))[1:]
-    for lo in range(3, bound + 1, 2 * segment):
+    for lo in range(max(start, 3) | 1, bound + 1, 2 * segment):
         hi = min(lo + 2 * segment, bound + 1)
         size = (hi - lo + 1) // 2  # slot i stands for lo + 2*i
         marks = bytearray(b"\x01") * size
@@ -136,8 +139,8 @@ def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT) -> Iterator[int]:
                 first = lo + (-lo) % p
                 if first % 2 == 0:
                     first += p
-            start = (first - lo) // 2
-            marks[start::p] = bytes(len(range(start, size, p)))
+            slot = (first - lo) // 2
+            marks[slot::p] = bytes(len(range(slot, size, p)))
         yield from compress(range(lo, hi, 2), marks)
 
 

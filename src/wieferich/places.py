@@ -8,10 +8,13 @@ places whose norms fall in a fixed residue class, with every claimed property
 re-checked at emission time.
 
 The Wieferich scan makes one pass over a segmented sieve, so its memory stays
-flat as the bound grows, and sorts each p by the roots of the generator's
-minimal polynomial mod p, the rule primes_above uses.  A split place costs
-one built-in pow mod p**2 after a lifted root; a ramified place costs one
-pair power a**(p-1) mod p; an inert place costs one built-in pow on the norm
+flat as the bound grows; on two or more usable CPUs a long scan hands its
+segments to forked workers (workers.fork_map), as the census does with its
+levels, and joins their hits in order.  The scan sorts each p by the roots
+of the generator's minimal polynomial mod p, the rule primes_above uses.  A
+split place costs one built-in pow mod p**2 after a lifted root; a ramified
+place costs one pair power a**(p-1) mod p; an inert place costs one built-in
+pow on the norm
 of a, and only the rare places that pass it pay a pair power a**(p+1) and
 one more built-in pow; rational mode is one built-in pow per place.  Only the
 hits get a full report, whose verdict is re-checked by is_wieferich_place,
@@ -24,6 +27,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
+from . import workers
 from .cyclo import CycloFactorCache, decompose
 from .ideals import (
     BudgetExhausted,
@@ -37,7 +41,7 @@ from .ideals import (
     residue_order,
     residue_pow,
 )
-from .intfactor import FactorBudget, _prime_stream, primes_up_to
+from .intfactor import _SIEVE_SEGMENT, FactorBudget, _prime_stream, primes_up_to
 from .qfield import BaseClass, InvariantViolation, QuadInt, _pair_pow, classify_base
 
 
@@ -319,13 +323,29 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
                           budget: FactorBudget | None = None) -> tuple[list[PlaceReport], int]:
     """Classify every place of residue characteristic <= p_bound coprime to a.
 
-    Returns (Wieferich hits as full reports, number of places tested).  One
-    pass of _wieferich_kernel over a streaming sieve decides every place, and
+    Returns (Wieferich hits as full reports, number of places tested).
+    _wieferich_kernel decides every place, one sieve segment at a time, and
     only the hits get a report, whose verdict comes from is_wieferich_place.
+
+    With two usable CPUs (see workers.usable_cpus) and a bound that spans two
+    whole segments, the segments are jobs for workers.fork_map; the parent
+    joins the hits and counts in segment order and scans in-process any
+    segment whose worker died.  The result is the same either way.
     """
     if p_bound < 2:
         raise ValueError("p_max must be >= 2")
-    found, tested = _wieferich_kernel(a, _prime_stream(p_bound))
+    width = 2 * _SIEVE_SEGMENT
+    # each stream is sieved where it is consumed: in a worker, or here
+    jobs = [(a, _prime_stream(min(lo + width - 1, p_bound), start=lo))
+            for lo in range(1, p_bound + 1, width)]
+    cpus = workers.usable_cpus()
+    done = {}
+    if cpus > 1 and p_bound >= 2 * width:
+        done = workers.fork_map(_wieferich_kernel, jobs, min(cpus, len(jobs)))
+    parts = [done[i] if isinstance(done.get(i), tuple) else _wieferich_kernel(*job)
+             for i, job in enumerate(jobs)]
+    found = [P for hits, _ in parts for P in hits]
+    tested = sum(count for _, count in parts)
     hits = [place_report(P, a, budget) for P in found]
     for report in hits:
         if not report.wieferich:

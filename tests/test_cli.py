@@ -84,23 +84,26 @@ def test_golden_outputs_unchanged_under_optimize():
 
 
 CENSUS_GAUSS = ["census", "-d", "1", "-a", "2,1", "--n-max", "80"]
+SCAN_GAUSS = ["classify", "-d", "1", "-a", "2,1", "--p-max", "200000"]
 
 
 @pytest.mark.parametrize("minor", range(10, 14))
 def test_golden_outputs_unchanged_under_other_interpreters(minor):
-    """The package promises Python 3.10 and later, and the census pool leans on
-    executor details that differ between versions: the golden cases and a
-    pooled census must print the same bytes under every CPython found."""
+    """The package promises Python 3.10 and later, and its fork work queue
+    leans on os.fork, pickle and signal details that differ between versions:
+    the golden cases, a pooled census and a pooled scan must print the same
+    bytes under every CPython found."""
     if sys.version_info[:2] == (3, minor):
         pytest.skip("the running interpreter")
     python = shutil.which(f"python3.{minor}")
     if python is None or subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60).returncode:
         pytest.skip(f"no runnable python3.{minor}")
-    *got, census = replay([case["argv"] for case in GOLDEN] + [CENSUS_GAUSS], python=python)
+    *got, census, scan = replay([case["argv"] for case in GOLDEN] + [CENSUS_GAUSS, SCAN_GAUSS],
+                                python=python)
     for case, result in zip(GOLDEN, got, strict=True):
         assert result == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
-    assert census == replay([CENSUS_GAUSS])[0]
-    assert census[0] == 0 and census[2] == ""
+    assert [census, scan] == replay([CENSUS_GAUSS, SCAN_GAUSS])
+    assert census[0] == scan[0] == 0 and census[2] == scan[2] == ""
 
 
 class TestFieldCommand:

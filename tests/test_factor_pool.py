@@ -1,5 +1,5 @@
-"""Census levels factored in fork workers: the same bytes as one CPU, the same
-failures, and no process left behind."""
+"""Census levels and Wieferich scan segments in fork workers: the same bytes as
+one CPU, the same failures, and no process left behind."""
 
 import contextlib
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wieferich import FactorBudget, cli
+from wieferich import FactorBudget, cli, workers
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 needs_two_cpus = pytest.mark.skipif(CPUS < 2, reason="the pool needs two CPUs in the affinity mask")
@@ -21,29 +21,50 @@ needs_proc = pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="li
 
 CENSUS_80 = ["census", "-d", "1", "-a", "2,1", "--n-max", "80"]
 CENSUS_160 = ["census", "-d", "1", "-a", "2,1", "--n-max", "160"]
+# scans past two whole sieve segments, the least the scan forks for
+SCANS = {d: ["classify", "-d", str(d), "-a", "2" if d == 0 else "2,1", "--p-max", "200000"]
+         for d in (0, 1, 3, 7)}
+SCAN_1E7 = ["classify", "-d", "1", "-a", "2,1", "--p-max", "10000000"]
+# a prime of the second sieve segment
+SCAN_TARGET = 100003
 
 # Runs cli.main(argv), pinned first to the lowest CPU of the mask when asked.
 # A planted failure hits the factorization of one level's norm of 2 + i: it
 # raises BudgetExhausted or InvariantViolation, or kills the worker running
-# it, and notes in which process it struck.  One line on stdout precedes the
-# census.  The last stderr line reports the exit code and whether the pool
-# modules were loaded.
+# it; or it kills the worker that scans the segment holding SCAN_TARGET.  It
+# notes in which process it struck.  One line on stdout precedes the run.
+# The last stderr line reports the exit code, whether the run forked and
+# which pool modules it loaded.
 SCRIPT = """
 import json, os, sys
 pin, plant, argv = json.loads(sys.argv[1])
 if pin:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from wieferich import cli, cyclo, ideals, intfactor, qfield
-if plant:
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(os.getpid()))
+from wieferich import cli, cyclo, ideals, intfactor, places, qfield
+parent = os.getpid()
+def note(notes):
+    with open(notes, "a") as handle:
+        handle.write("worker\\n" if os.getpid() != parent else "parent\\n")
+    return os.getpid() != parent
+if plant and plant[0] == "scan":
+    _, target, notes = plant
+    kernel = places._wieferich_kernel
+    def planted(a, primes):
+        primes = list(primes)
+        if target in primes and note(notes):
+            os._exit(1)
+        return kernel(a, primes)
+    places._wieferich_kernel = planted
+elif plant:
     kind, level, notes = plant
     target = cyclo.cyclotomic_eval(level, qfield.FieldSpec.from_d(1).element(2, 1)).abs_norm()
-    parent, factor = os.getpid(), intfactor._factor_with_budget
+    factor = intfactor._factor_with_budget
     def planted(n, budget, depth):
         if n != target:
             return factor(n, budget, depth)
-        in_worker = os.getpid() != parent
-        with open(notes, "a") as handle:
-            handle.write("worker\\n" if in_worker else "parent\\n")
+        in_worker = note(notes)
         if kind == "die":
             if in_worker:
                 os._exit(1)
@@ -52,12 +73,17 @@ if plant:
         raise error(f"planted failure at level {level}")
     intfactor._factor_with_budget = planted
 # still in the buffer when the workers fork
-print("census follows")
+print("output follows")
 code = cli.main(argv)
 sys.stdout.flush()
-pool = "multiprocessing" in sys.modules or "concurrent.futures" in sys.modules
-print(json.dumps({"exit": code, "pool": pool}), file=sys.stderr)
+pool = sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules))
+print(json.dumps({"exit": code, "forked": bool(forks), "pool_modules": pool}), file=sys.stderr)
 """
+
+
+def outcome(code: int, forked: bool) -> dict:
+    """The report of a run that loaded no pool module."""
+    return {"exit": code, "forked": forked, "pool_modules": []}
 
 
 def package_env():
@@ -67,7 +93,7 @@ def package_env():
     return env
 
 
-def run_census(argv, pin=False, plant=None):
+def run_cli(argv, pin=False, plant=None):
     """(stdout bytes, stderr lines but the report, report) of one run through a pipe."""
     proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps([pin, plant, argv])],
                           capture_output=True, env=package_env(), timeout=120)
@@ -82,12 +108,24 @@ def run_census(argv, pin=False, plant=None):
     (["census", "-d", "1", "-a", "2,1", "--n-max", "6"], False),
 ])
 def test_census_bytes_match_a_run_pinned_to_one_cpu(argv, pooled):
-    pinned = run_census(argv, pin=True)
-    free = run_census(argv)
-    assert pinned[2] == {"exit": 0, "pool": False}
-    assert free[2] == {"exit": 0, "pool": pooled}
+    pinned = run_cli(argv, pin=True)
+    free = run_cli(argv)
+    assert pinned[2] == outcome(0, False)
+    assert free[2] == outcome(0, pooled)
     assert free[:2] == pinned[:2]
     assert pinned[0].count(b"\n") > 1
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("d", sorted(SCANS))
+def test_scan_bytes_match_a_run_pinned_to_one_cpu(d):
+    pinned = run_cli(SCANS[d], pin=True)
+    free = run_cli(SCANS[d])
+    assert (pinned[2], free[2]) == (outcome(0, False), outcome(0, True))
+    assert free[:2] == pinned[:2]
+    # the line buffered before the fork is printed once, by the parent
+    assert free[0].startswith(b"output follows\n") and free[0].count(b"output follows") == 1
+    assert b'"tested"' in free[0]
 
 
 @needs_two_cpus
@@ -99,43 +137,59 @@ def test_worker_exception_gives_the_serial_exit_code_and_message(tmp_path, kind,
     runs = {}
     for pin in (True, False):
         notes = tmp_path / f"notes-{pin}"
-        runs[pin] = run_census(CENSUS_80, pin, [kind, 29, str(notes)]), notes.read_text()
+        runs[pin] = run_cli(CENSUS_80, pin, [kind, 29, str(notes)]), notes.read_text()
     (pinned, pinned_notes), (free, free_notes) = runs[True], runs[False]
     assert (pinned_notes, free_notes) == ("parent\n", "worker\n")
-    assert pinned == (b"census follows\n", [message], {"exit": code, "pool": False})
-    assert free == (b"census follows\n", [message], {"exit": code, "pool": True})
+    assert pinned == (b"output follows\n", [message], outcome(code, False))
+    assert free == (b"output follows\n", [message], outcome(code, True))
 
 
 @needs_two_cpus
 def test_levels_of_a_dead_worker_are_factored_in_process(tmp_path):
-    """A worker killed mid-norm breaks the pool; the parent factors what is left."""
+    """A worker killed mid-norm leaves its level to the parent."""
     notes = tmp_path / "notes"
-    free = run_census(CENSUS_80, plant=["die", 29, str(notes)])
+    free = run_cli(CENSUS_80, plant=["die", 29, str(notes)])
     assert notes.read_text() == "worker\nparent\n"
-    assert free == run_census(CENSUS_80, pin=True)[:2] + ({"exit": 0, "pool": True},)
+    assert free == run_cli(CENSUS_80, pin=True)[:2] + (outcome(0, True),)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("d", sorted(SCANS))
+def test_segments_of_a_dead_worker_are_rescanned_in_process(tmp_path, d):
+    """A worker killed mid-segment leaves that segment to the parent, which
+    prints the one-CPU bytes; pinned, the parent scans every segment itself."""
+    runs = {}
+    for pin in (True, False):
+        notes = tmp_path / f"notes-{pin}"
+        runs[pin] = run_cli(SCANS[d], pin, ["scan", SCAN_TARGET, str(notes)]), notes.read_text()
+    (pinned, pinned_notes), (free, free_notes) = runs[True], runs[False]
+    assert (pinned_notes, free_notes) == ("parent\n", "worker\nparent\n")
+    assert pinned == run_cli(SCANS[d], pin=True)
+    assert free == pinned[:2] + (outcome(0, True),)
 
 
 CENSUS_K2 = ["census", "-d", "1", "-a", "2,1", "-k", "2", "--n-max", "20"]
 
 
+SCAN_200K = SCANS[1]
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """The arguments of every pool a census starts, on a stand-in two-CPU mask."""
-    import concurrent.futures
-
+    """(fn, jobs, workers) of every fork_map a run starts, on a stand-in two-CPU mask."""
     started = []
+    fork_map = workers.fork_map
 
-    class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
+    def recorded(fn, jobs, count):
+        started.append((fn, list(jobs), count))
+        return fork_map(fn, jobs, count)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(workers, "fork_map", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return started
 
 
-def serial_census(monkeypatch, capsys, argv):
+def serial_run(monkeypatch, capsys, argv):
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert cli.main(argv) == 0
@@ -143,38 +197,38 @@ def serial_census(monkeypatch, capsys, argv):
 
 
 @needs_fork
-def test_pool_that_cannot_start_leaves_factoring_in_process(pools, monkeypatch, capsys):
-    import concurrent.futures
+@pytest.mark.parametrize("argv", [CENSUS_K2, SCAN_200K], ids=["census", "scan"])
+def test_pool_that_cannot_start_leaves_factoring_in_process(pools, monkeypatch, capsys, argv):
+    serial = serial_run(monkeypatch, capsys, argv)
 
-    serial = serial_census(monkeypatch, capsys, CENSUS_K2)
-
-    def unstartable(self, *args, **kwargs):
+    def unstartable():
         raise OSError("no process can be started")
 
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", unstartable)
-    assert cli.main(CENSUS_K2) == 0
+    monkeypatch.setattr(os, "fork", unstartable)
+    assert cli.main(argv) == 0
     assert capsys.readouterr() == serial
     assert len(pools) == 1
 
 
 @needs_fork
-def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys):
-    """A fork copies the locks other threads hold, so the census stays in one process."""
+@pytest.mark.parametrize("argv", [CENSUS_K2, SCAN_200K], ids=["census", "scan"])
+def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys, argv):
+    """A fork copies the locks other threads hold, so the run stays in one process."""
     import threading
 
-    serial = serial_census(monkeypatch, capsys, CENSUS_K2)
+    serial = serial_run(monkeypatch, capsys, argv)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert cli.main(CENSUS_K2) == 0
+        assert cli.main(argv) == 0
     finally:
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
     assert capsys.readouterr() == serial
     assert pools == []
-    assert cli.main(CENSUS_K2) == 0
+    assert cli.main(argv) == 0
     assert capsys.readouterr() == serial
     assert len(pools) == 1
 
@@ -182,25 +236,17 @@ def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys):
 @needs_two_cpus
 @needs_fork
 def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch):
-    """factor_levels hands the pool the same factor_principal call level(d) makes."""
-    import concurrent.futures
+    """factor_levels hands the workers the same factor_principal call level(d) makes."""
     from wieferich import FieldSpec, ideals, intfactor
     from wieferich.cyclo import CycloFactorCache, divisors
 
-    submit, submitted = concurrent.futures.ProcessPoolExecutor.submit, []
-
-    def recording(self, fn, *args):
-        submitted.append((fn, args))
-        return submit(self, fn, *args)
-
-    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", recording)
     budget = FactorBudget(trial_limit=2)
     cache = CycloFactorCache(FieldSpec.from_d(1).element(2, 1), budget)
     cache.factor_levels([12])
     levels = sorted(divisors(12), key=lambda d: cache.value(d).abs_norm(), reverse=True)
     assert levels == [12, 3, 4, 6, 2, 1]
-    assert submitted == [(ideals.factor_principal, (cache.value(d), budget)) for d in levels]
-    assert len(pools) == 1
+    assert [(fn, jobs) for fn, jobs, _ in pools] == [
+        (ideals.factor_principal, [(cache.value(d), budget) for d in levels])]
     in_process = {d: ideals.factor_principal(cache.value(d), budget) for d in levels}
 
     def refuse(*args):
@@ -210,12 +256,61 @@ def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch
     assert {d: cache.level(d) for d in levels} == in_process
 
 
+@needs_two_cpus
+@needs_fork
+def test_scan_jobs_are_the_sieve_segments_in_order(pools, gauss_field):
+    """Each worker job runs the kernel on one segment's primes, and the
+    parent joins the segments' hits in order."""
+    from wieferich import places
+    from wieferich.intfactor import _SIEVE_SEGMENT, _prime_stream
+
+    a = gauss_field.element(2, 1)
+    hits, tested = places.scan_wieferich_places(a, 200000)
+    [(fn, jobs, count)] = pools
+    assert fn is places._wieferich_kernel and count == 2
+    # the workers consumed their own copies: the parent's streams are untouched
+    assert [base for base, _ in jobs] == [a] * 4
+    segments = [list(primes) for _, primes in jobs]
+    assert [p for segment in segments for p in segment] == list(_prime_stream(200000))
+    assert all(segment[-1] - segment[0] < 2 * _SIEVE_SEGMENT for segment in segments)
+    serial = [places._wieferich_kernel(a, segment) for segment in segments]
+    assert [r.place for r in hits] == [P for found, _ in serial for P in found]
+    assert tested == sum(count for _, count in serial)
+
+
+def checked_job(n):
+    """n squared; n < 0 raises, n == 0 kills its worker, and n == 1 returns
+    what pickle refuses, which also ends its worker."""
+    if n < 0:
+        raise ValueError(f"job {n}")
+    if n == 0:
+        os._exit(3)
+    return (lambda: None) if n == 1 else n * n
+
+
+@needs_fork
+def test_fork_map_with_more_workers_than_cpus():
+    """Every job runs once; an exception comes back as the result, and a job
+    whose worker died is left out for the caller."""
+    jobs = [(n,) for n in (2, -1, 0, 3, 1, *range(4, 40))]
+    started = time.monotonic()
+    done = workers.fork_map(checked_job, jobs, 2 * CPUS + 1)
+    assert time.monotonic() - started < 30
+    assert isinstance(done.pop(1), ValueError)
+    assert done == {i: n * n for i, (n,) in enumerate(jobs) if n > 1}
+    assert workers.fork_map(checked_job, [], 4) == {}
+
+
 def test_cli_import_loads_no_pool_modules():
-    """The pool's modules cost set-up time, so only a pooled census imports them."""
+    """The pool modules cost set-up time and memory: importing the CLI loads
+    neither, and neither does a census or a scan that forks its workers."""
     probe = "import sys, wieferich.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    pooled = CPUS >= 2 and hasattr(os, "fork")
+    for argv in (CENSUS_80, SCAN_200K):
+        assert run_cli(argv)[2] == outcome(0, pooled)
 
 
 def group_members(group: int) -> list[int]:
@@ -233,8 +328,9 @@ def group_members(group: int) -> list[int]:
 
 
 @contextlib.contextmanager
-def census_with_workers(argv):
-    """A census in a session of its own, once it has forked a worker.
+def run_with_workers(argv, settle=0.5):
+    """A CLI run in a session of its own, once it has forked a worker and
+    `settle` seconds have passed for its workers to take their first jobs.
 
     Whatever is left of its process group is killed on the way out, so a
     failing test leaves no worker behind either.
@@ -245,8 +341,9 @@ def census_with_workers(argv):
         deadline = time.monotonic() + 30
         while len(group_members(proc.pid)) < 2:
             if proc.poll() is not None or time.monotonic() > deadline:
-                pytest.fail("the census never started a worker")
+                pytest.fail("the run never started a worker")
             time.sleep(0.02)
+        time.sleep(settle)
         yield proc
     finally:
         for pid in group_members(proc.pid):
@@ -263,8 +360,9 @@ def assert_group_empties(group: int, seconds: float = 5) -> None:
 
 @needs_two_cpus
 @needs_proc
-def test_sigterm_to_the_census_leaves_no_worker():
-    with census_with_workers(CENSUS_160) as proc:
+@pytest.mark.parametrize("argv", [CENSUS_160, SCAN_1E7], ids=["census", "scan"])
+def test_sigterm_leaves_no_worker(argv):
+    with run_with_workers(argv) as proc:
         proc.terminate()
         assert proc.wait(timeout=30) == -signal.SIGTERM
         assert_group_empties(proc.pid)
@@ -272,13 +370,14 @@ def test_sigterm_to_the_census_leaves_no_worker():
 
 @needs_two_cpus
 @needs_proc
-def test_sigint_prints_no_worker_traceback():
+@pytest.mark.parametrize("argv", [CENSUS_160, SCAN_1E7], ids=["census", "scan"])
+def test_sigint_prints_no_worker_traceback(argv):
     """Ctrl-C reaches the whole group: only the parent reports it."""
-    with census_with_workers(CENSUS_160) as proc:
+    with run_with_workers(argv) as proc:
         os.killpg(proc.pid, signal.SIGINT)
         sent = time.monotonic()
         proc.wait(timeout=30)
-        # the workers are stopped, not waited for: their norms take seconds at these levels
+        # the workers are stopped, not waited for: their jobs take seconds at these sizes
         assert time.monotonic() - sent < 1.5
         assert_group_empties(proc.pid)
         _, stderr = proc.communicate(timeout=30)
@@ -291,10 +390,11 @@ def test_sigint_prints_no_worker_traceback():
 @needs_two_cpus
 @needs_proc
 def test_workers_leave_sigint_to_the_parent():
-    with census_with_workers(CENSUS_80) as proc:
+    # census-gauss's workers live for about a second
+    with run_with_workers(CENSUS_80, settle=0.1) as proc:
         for pid in group_members(proc.pid):
             if pid != proc.pid:
                 os.kill(pid, signal.SIGINT)
         stdout, stderr = proc.communicate(timeout=60)
     assert (proc.returncode, stderr) == (0, b"")
-    assert stdout == run_census(CENSUS_80, pin=True)[0].removeprefix(b"census follows\n")
+    assert stdout == run_cli(CENSUS_80, pin=True)[0].removeprefix(b"output follows\n")

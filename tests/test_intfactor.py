@@ -103,6 +103,19 @@ class TestPrimality:
         for bound in {edge + delta for edge in edges for delta in (-1, 0, 1)}:
             assert list(_prime_stream(bound, segment)) == full_array_sieve(bound), bound
 
+    @pytest.mark.parametrize("segment", [1, 2, 7, _SIEVE_SEGMENT])
+    def test_stream_from_a_lower_bound(self, segment):
+        # the segments start at the first odd number >= max(start, 3)
+        top = 3 + 8 * segment
+        primes = full_array_sieve(top)
+        edge = 3 + 2 * segment
+        for start in (-1, 0, 1, 2, 3, 4, 5, edge - 1, edge, edge + 1, top // 2):
+            # empty, one number, just inside one segment, across one and two edges
+            for bound in (start - 1, start, start + 2 * segment - 1, start + 2 * segment,
+                          start + 4 * segment + 1, top):
+                expected = [p for p in primes if start <= p <= bound]
+                assert list(_prime_stream(bound, segment, start)) == expected, (start, bound)
+
     @pytest.mark.parametrize("segment", [7, _SIEVE_SEGMENT])
     def test_stream_at_largest_base_prime_square(self, segment):
         # at bound q*q the largest sieving prime q crosses off the bound itself
