@@ -5,7 +5,8 @@ Eratosthenes, then perfect power peeling, then Brent's rho with batched gcds
 and the elliptic curve method, all under an explicit budget.  Trial division
 takes batched gcds over prime blocks (Bernstein, "How to find small factors
 of integers", 2002): one gcd against the product of each block of consecutive
-primes, and division prime by prime only inside a block whose gcd exceeds 1.
+primes, and division prime by prime only inside a block whose gcd exceeds 1,
+up to the last prime of that gcd.
 
 Each composite cofactor gets a splitting effort counted in rho iterations
 (FactorBudget.rho_iterations).  Rho is given the first _RHO_SHARE = 10**5
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,7 +45,7 @@ from itertools import accumulate, compress, count
 # (Sorenson-Webster, Math. Comp. 86, 2017): below it those bases are exact.
 # Base 41 is needed: psi_12 = 318665857834031151167461 fools 2..37.
 DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
-# the trial-division sieve and its block products take about 26 MiB at 10**7
+# the packed trial-division primes and their block products take about 4.5 MiB at 10**7
 _MAX_TRIAL_LIMIT = 10**7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXTRA_PROBABLE_ROUNDS = 16
@@ -107,9 +109,14 @@ class FactorResult:
 
 
 @lru_cache(maxsize=8)
-def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, from the segmented sieve."""
-    return tuple(_prime_stream(limit))
+def primes_up_to(limit: int) -> memoryview:
+    """All primes <= limit < 2**32, from the segmented sieve, in increasing order.
+
+    They are packed as 4-byte unsigned integers behind a read-only view, so
+    the cached table cannot change and costs 4 bytes per prime instead of a
+    Python int each; indexing, slicing and iteration work as on a tuple.
+    """
+    return memoryview(array("I", _prime_stream(limit))).toreadonly()
 
 
 def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT, start: int = 0) -> Iterator[int]:
@@ -145,14 +152,16 @@ def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT, start: int = 0) -> 
 
 
 @lru_cache(maxsize=8)
-def _prime_blocks(limit: int) -> tuple[tuple[int, int, int], ...]:
-    """(start, end, product) of each run of _TRIAL_BLOCK consecutive primes <= limit.
+def _prime_blocks(limit: int) -> tuple[tuple[int, int], ...]:
+    """(first prime, product) of each run of _TRIAL_BLOCK consecutive primes <= limit.
 
-    start and end index into primes_up_to(limit).
+    Block i holds primes_up_to(limit)[i * _TRIAL_BLOCK : (i + 1) * _TRIAL_BLOCK];
+    its first prime is kept as an int so that the trial loop's stopping test
+    reads no packed entry.
     """
     primes = primes_up_to(limit)
     return tuple(
-        (start, min(start + _TRIAL_BLOCK, len(primes)), math.prod(primes[start : start + _TRIAL_BLOCK]))
+        (primes[start], math.prod(primes[start : start + _TRIAL_BLOCK]))
         for start in range(0, len(primes), _TRIAL_BLOCK)
     )
 
@@ -680,17 +689,21 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
     original = n
     factors: dict[int, int] = {}
     primes = primes_up_to(budget.trial_limit)
-    for start, end, product in _prime_blocks(budget.trial_limit):
-        if primes[start] * primes[start] > n:
+    for start, (first, product) in zip(count(0, _TRIAL_BLOCK), _prime_blocks(budget.trial_limit)):
+        if first * first > n:
             break
-        if math.gcd(n, product) == 1:
+        # the block's primes that divide n, each once, so the scan ends at the last of them
+        shared = math.gcd(n, product)
+        if shared == 1:
             continue
-        for p in primes[start:end]:
-            if p * p > n:
-                break
-            while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                n //= p
+        for p in primes[start : start + _TRIAL_BLOCK]:
+            if shared % p == 0:
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
+                shared //= p
+                if shared == 1:
+                    break
     if n == 1:
         return FactorResult(original, factors)
     if n <= budget.trial_limit * budget.trial_limit:

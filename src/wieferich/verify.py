@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations
 
 from .cyclo import CycloFactorCache, divisors, euler_phi, mobius
 from .ideals import KIND_RAMIFIED, BudgetExhausted, _order_dividing, factor_principal, residue_pow
@@ -145,36 +146,45 @@ def check_pairwise_coprime(cache: CycloFactorCache, n_max: int) -> BoundCheckRep
     """Level slices of the squarefree parts of cache.a are pairwise coprime.
 
     For all complete levels m < n <= n_max of the cache's sweep the gcd of
-    the two level squarefree slices must be the unit ideal.
+    the two level squarefree slices must be the unit ideal.  Every pair is
+    counted in checked, but a gcd is taken only for the pairs whose slices
+    share a place, read from an index of the levels holding each place.
     """
     report = _report("pairwise-coprime-level-slices", cache.a, n_max)
     slices = {}
+    holders = {}
     for dec in cache.sweep(n_max):
         if not dec.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
         slices[dec.n] = dec.level_squarefree
-    levels = sorted(slices)
-    for i, m in enumerate(levels):
-        for n in levels[i + 1 :]:
-            report.checked += 1
-            shared = slices[m].gcd(slices[n])
-            if not shared.is_trivial():
-                report.violations.append({"m": m, "n": n, "gcd": repr(shared)})
+        for P in dec.level_squarefree.exponents:
+            holders.setdefault(P, []).append(dec.n)
+    report.checked = len(slices) * (len(slices) - 1) // 2
+    sharing = sorted({pair for levels in holders.values() for pair in combinations(levels, 2)})
+    for m, n in sharing:
+        report.violations.append({"m": m, "n": n, "gcd": repr(slices[m].gcd(slices[n]))})
     return report
 
 
 def check_squarefree_nonwieferich(cache: CycloFactorCache, n_max: int) -> BoundCheckReport:
-    """Every prime of the squarefree part of (a^n - 1), a = cache.a, tests non-Wieferich."""
+    """Every prime of the squarefree part of (a^n - 1), a = cache.a, tests non-Wieferich.
+
+    Each (level, place) pair is counted in checked, but each distinct place
+    is tested once per call.
+    """
     a = cache.a
     report = _report("squarefree-places-nonwieferich", a, n_max)
+    verdicts = {}
     for dec in cache.sweep(n_max):
         if not dec.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
         for P, _ in dec.squarefree.items_sorted():
             report.checked += 1
-            if is_wieferich_place(P, a):
+            if P not in verdicts:
+                verdicts[P] = is_wieferich_place(P, a)
+            if verdicts[P]:
                 report.violations.append({"n": dec.n, "place": P.label()})
     return report
 

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal, getcontext
 from itertools import combinations, compress
 from math import isqrt
@@ -91,6 +92,32 @@ class TestPrimality:
         primes_up_to.cache_clear()
         primes_up_to(10**6)
         assert primes_up_to.cache_info().currsize == 1
+
+    def test_table_at_the_trial_cap_is_packed_and_read_only(self):
+        table = primes_up_to(10**7)
+        assert len(table) == 664_579
+        assert table[-1] == 9_999_991
+        assert table.itemsize == 4
+        with pytest.raises(TypeError):
+            table[0] = 3
+
+    @pytest.mark.parametrize("limit", [2, 1000, 10**6])
+    def test_block_products(self, limit):
+        primes, size = list(primes_up_to(limit)), intfactor._TRIAL_BLOCK
+        blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
+        assert intfactor._prime_blocks(limit) == tuple((block[0], math.prod(block)) for block in blocks)
+
+    def test_trial_tables_allocate_under_one_mib(self):
+        # a tuple of Python ints took about 3.3 MiB here
+        primes_up_to.cache_clear()
+        intfactor._prime_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            intfactor._prime_blocks(10**6)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < peak < 2**20
 
     def test_stream_matches_sieve(self):
         for bound in (0, 1, 2, 3, 10**5):

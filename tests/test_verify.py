@@ -1,8 +1,10 @@
 """Exact bound checks, exception-set enumeration, and quality statistics."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -120,10 +122,62 @@ class TestBoundChecks:
         assert report.passed
         assert report.checked == 66
 
+    def test_pairwise_coprime_matches_every_pair_on_planted_places(self, gauss_field, base_2i):
+        # a place above 13 goes into the slices of levels 3, 4 and 9, one above
+        # 29 into those of 3, 5 and 9; level 2 is made unfinished, so it is
+        # skipped and paired with nothing
+        cache = CycloFactorCache(base_2i)
+        cache.sweep(10)
+        p13, p29 = primes_above(gauss_field, 13)[0], primes_above(gauss_field, 29)[0]
+        plants = {3: [p13, p29], 4: [p13], 5: [p29], 9: [p13, p29]}
+        for n, planted in plants.items():
+            dec = cache._decompositions[n - 1]
+            exponents = {**dec.level_squarefree.exponents, **dict.fromkeys(planted, 1)}
+            cache._decompositions[n - 1] = dataclasses.replace(
+                dec, level_squarefree=IdealFactorization(gauss_field, exponents)
+            )
+        cache._decompositions[1] = dataclasses.replace(
+            cache._decompositions[1], power_ideal=IdealFactorization(gauss_field, {}, 3)
+        )
+        slices = {dec.n: dec.level_squarefree for dec in cache.sweep(10) if dec.complete}
+        expected = []
+        for m, n in combinations(sorted(slices), 2):
+            shared = slices[m].gcd(slices[n])
+            if not shared.is_trivial():
+                expected.append({"m": m, "n": n, "gcd": repr(shared)})
+        report = check_pairwise_coprime(cache, 10)
+        assert report.violations == expected
+        assert [(v["m"], v["n"]) for v in expected] == [(3, 4), (3, 5), (3, 9), (4, 9), (5, 9)]
+        assert report.checked == 9 * 8 // 2
+        assert report.skipped == [{"n": 2, "reason": "incomplete factorization"}]
+
     def test_squarefree_nonwieferich(self, cache_2i):
         report = check_squarefree_nonwieferich(cache_2i, 12)
         assert report.passed
         assert report.checked > 0
+
+    def test_squarefree_nonwieferich_tests_each_place_once(self, monkeypatch, rational_field):
+        cache = CycloFactorCache(rational_field.element(2))
+        pairs = [(dec.n, P) for dec in cache.sweep(40) for P, _ in dec.squarefree.items_sorted()]
+        real = verify.is_wieferich_place
+        calls = []
+
+        def verdict(P, a):
+            # the place above 3 is flagged, so the report has violations to compare
+            return P.p == 3 or real(P, a)
+
+        def spy(P, a):
+            calls.append(P)
+            return verdict(P, a)
+
+        uncached = [{"n": n, "place": P.label()} for n, P in pairs if verdict(P, cache.a)]
+        monkeypatch.setattr(verify, "is_wieferich_place", spy)
+        report = check_squarefree_nonwieferich(cache, 40)
+        places = {P for _, P in pairs}
+        assert len(calls) == len(places) == len(set(calls))
+        assert report.checked == len(pairs) > len(places)
+        assert report.violations == uncached
+        assert len(uncached) > 1
 
     def test_order_consistency_range(self, cache_2i):
         report = check_order_consistency_range(cache_2i, 12)
