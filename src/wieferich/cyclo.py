@@ -209,8 +209,8 @@ class Decomposition:
     squarefree carries each certified prime of exponent exactly 1, powerful
     the full prime powers of exponent >= 2.  level_squarefree and
     level_powerful are the gcds of (Phi_n(a)) against those two parts.  When
-    complete is false some primes are still hidden in cofactors and only the
-    certified portion is reported.
+    complete is false some primes are still hidden in a cofactor of (a^n - 1)
+    or of (Phi_n(a)) and only the certified portion is reported.
     """
 
     a: QuadInt
@@ -226,7 +226,7 @@ class Decomposition:
 
     @property
     def complete(self) -> bool:
-        return self.power_ideal.complete
+        return self.power_ideal.complete and self.level_ideal.complete
 
     def norm_summary(self) -> dict:
         return {

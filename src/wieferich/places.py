@@ -1,11 +1,12 @@
 """Wieferich place tests, non-Wieferich extraction, and the progression census.
 
 A place P of norm q is Wieferich for the base a when a**(q-1) - 1 lands in
-P squared, i.e. the Fermat-quotient valuation jumps above one.  The engine
-below pulls guaranteed non-Wieferich places out of the squarefree part of
-(a^n - 1), tracks first occurrences across cyclotomic levels, and counts
-places whose norms fall in a fixed residue class, with every claimed property
-re-checked at emission time.
+P squared, i.e. the Fermat-quotient valuation jumps above one.  The census
+reads each level Phi_n(a) on its own: a place P over p with p not dividing n
+and P exactly dividing Phi_n(a) has order n, so it is non-Wieferich and first
+occurs at level n, whatever the other levels hold (Silverman, J. Number
+Theory 30, 1988).  It counts such places whose norms fall in a fixed residue
+class, with every claimed property re-checked at emission time.
 
 The Wieferich scan makes one pass over a segmented sieve, so its memory stays
 flat as the bound grows; on two or more usable CPUs a long scan hands its
@@ -28,7 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
 from . import workers
-from .cyclo import CycloFactorCache, decompose
+from .cyclo import CycloFactorCache, divisors
 from .ideals import (
     BudgetExhausted,
     KIND_INERT,
@@ -180,20 +181,22 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
            strategy: str = STRATEGY_ALL_LEVELS) -> CensusResult:
     """Count non-Wieferich places with norm in the class 1 mod k, by level sweep.
 
-    The census owns its sweep: it classifies the base first, then decomposes
-    the levels k*m in one CycloFactorCache(a, budget) of its own, in
-    increasing order for m up to n_max, or up to the largest prime m <= n_max
-    under the prime-levels strategy, where only prime m give records and
-    skipped levels.  A prime of a complete level's squarefree slice is new
-    when no smaller complete level held it; new primes at recorded levels
-    become records once they pass the unramified and residue-characteristic
-    filters.  Exclusions and skipped levels are logged, and each record is
-    re-verified non-Wieferich on the way out.
+    The census classifies the base first, then reads the levels k*m in one
+    CycloFactorCache(a, budget) of its own, in increasing order for m up to
+    n_max, or for the primes m <= n_max under the prime-levels strategy.  A
+    level k*m is skipped unless every level d | k*m is complete.  Otherwise
+    its records are the places P of Phi_{k*m}(a) of exponent one whose
+    residue characteristic p does not divide k*m: such a P has order k*m,
+    occurs at no other level and is non-Wieferich.  A place with p | k*m
+    also divides Phi_d(a) for some proper divisor d, so its exponent in
+    a**(k*m) - 1 is at least two and it is never a record.  Ramified places
+    are logged as excluded, and each record is re-verified non-Wieferich
+    with norm 1 mod k on the way out.
 
     Before the sweep, cache.factor_levels factors the levels k*m and their
-    divisor levels, which decompose reads, on every CPU in the affinity mask;
-    its workers return finished levels and are shut down before the sweep
-    starts.  The result is the one-CPU result, byte for byte.
+    divisor levels on every CPU in the affinity mask; its workers return
+    finished levels and are shut down before the sweep starts.  The result
+    is the one-CPU result, byte for byte.
     """
     bucket = classify_base(a)
     if bucket not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
@@ -215,43 +218,27 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
         )
     cache = CycloFactorCache(a, budget)
     if strategy == STRATEGY_PRIME_LEVELS:
-        record_at = set(primes_up_to(n_max))
+        multipliers = primes_up_to(n_max)
     else:
-        record_at = set(range(1, n_max + 1))
-    top = max(record_at, default=0)
-    cache.factor_levels(k * m for m in range(1, top + 1))
-    seen: set[PrimeIdeal] = set()
-    for m in range(1, top + 1):
+        multipliers = range(1, n_max + 1)
+    cache.factor_levels(k * m for m in multipliers)
+    for m in multipliers:
         level = k * m
-        dec = decompose(cache, level)
-        recorded = m in record_at
-        if not dec.complete:
-            if recorded:
-                result.skipped_levels.append(level)
-            continue
-        fresh = [P for P, _ in dec.level_squarefree.items_sorted() if P not in seen]
-        seen.update(fresh)
-        if not recorded:
+        if not all(cache.level(d).complete for d in divisors(level)):
+            result.skipped_levels.append(level)
             continue
         result.complete_multipliers.append(m)
-        for P in fresh:
+        for P, e in cache.level(level).items_sorted():
+            if e > 1 or level % P.p == 0:
+                continue
             if P.kind == KIND_RAMIFIED:
                 result.excluded.append(
                     {"place": P.label(), "level": level, "reason": "ramified"}
                 )
                 continue
-            if k % P.p == 0:
-                result.excluded.append(
-                    {
-                        "place": P.label(),
-                        "level": level,
-                        "reason": "residue characteristic divides the modulus",
-                    }
-                )
-                continue
             if is_wieferich_place(P, a):
                 raise InvariantViolation(
-                    f"{P.label()} from a squarefree level slice tested Wieferich"
+                    f"{P.label()} of exponent one at level {level} tested Wieferich"
                 )
             if (P.norm - 1) % k:
                 raise InvariantViolation(

@@ -13,21 +13,24 @@ from wieferich import (
     KIND_INERT,
     KIND_RAMIFIED,
     KIND_SPLIT,
+    STRATEGY_ALL_LEVELS,
     STRATEGY_PRIME_LEVELS,
     census,
     check_order_consistency_range,
     check_squarefree_nonwieferich,
+    cyclotomic_eval,
     decompose,
+    divisors,
     element_valuation,
     is_wieferich_place,
     place_report,
     primes_above,
     scan_wieferich_places,
 )
-from wieferich import ideals, intfactor, places
+from wieferich import cyclo, ideals, intfactor, places, workers
 from wieferich.ideals import is_unit_mod
 from wieferich.intfactor import padic_valuation, primes_up_to
-from wieferich.places import CensusResult
+from wieferich.places import CensusRecord, CensusResult
 
 
 def brute_multiplicative_order(a: int, modulus: int) -> int:
@@ -247,7 +250,7 @@ class TestFirstOccurrence:
         result = census(base_2i, 1, 2)
         assert result.records[0].place.label() == "(5,split,2)"
         assert result.records[0].discovered_at_level == 2
-        # level 1 contributed only the ramified place, seen but excluded
+        # level 1 holds only the ramified place, which is excluded
         assert [e["reason"] for e in result.excluded] == ["ramified"]
 
     def test_base_and_modulus_must_match(self, base_2i):
@@ -295,9 +298,9 @@ class TestCensus:
             assert r.residue_class == 1
 
     def test_records_coprime_to_modulus(self, rational_field, base_2i):
-        # fresh squarefree-slice primes have order exactly k*m in the residue
-        # field, so their characteristic never divides the modulus; the filter
-        # is belt and braces and the records stay coprime to k
+        # a record at level k*m has order k*m modulo its place and a residue
+        # characteristic prime to k*m, so it is prime to k and its norm is
+        # 1 mod k*m
         for result in (
             census(rational_field.element(2), 3, 6),
             census(base_2i, 3, 8),
@@ -313,17 +316,22 @@ class TestCensus:
         full_at_primes = [r for r in full.records if r.discovered_at_level in (2, 3, 5, 7)]
         assert [r.place for r in full_at_primes] == [r.place for r in primes_only.records]
 
-    def test_prime_levels_decompose_every_level_to_last_prime(self, base_2i, monkeypatch):
-        levels = []
-        real_decompose = places.decompose
+    def test_prime_levels_factor_only_the_divisors_of_recorded_levels(self, base_2i, monkeypatch):
+        # -k 3 --n-max 26: the levels 3p for the nine primes p <= 23 and
+        # their divisors are 19 levels; no level 3m with m composite is read
+        values = []
+        real_factor = cyclo.factor_principal
 
-        def counting_decompose(cache, n):
-            levels.append(n)
-            return real_decompose(cache, n)
+        def counting_factor(gamma, budget=None):
+            values.append(gamma)
+            return real_factor(gamma, budget)
 
-        monkeypatch.setattr(places, "decompose", counting_decompose)
-        census(base_2i, 1, 10, strategy=STRATEGY_PRIME_LEVELS)
-        assert levels == list(range(1, 8))
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(cyclo, "factor_principal", counting_factor)
+        census(base_2i, 3, 26, strategy=STRATEGY_PRIME_LEVELS)
+        closure = {d for p in primes_up_to(26) for d in divisors(3 * p)}
+        assert len(closure) == len(values) == 19
+        assert sorted(map(repr, values)) == sorted(repr(cyclotomic_eval(d, base_2i)) for d in closure)
 
     def test_small_base_warns(self, gauss_field):
         result = census(gauss_field.element(1, 1), 1, 6)
@@ -358,6 +366,115 @@ class TestCensus:
         result = census(d2_field.element(2, 1), 1, 40, FactorBudget(1000, 10))
         assert result.skipped_levels == [13, 17, 19, 23, 25, 26, 28, 29, 32, 33, 34, 37, 38, 39, 40]
         assert len(result.records) == 34
+
+
+def decompose_census(a, k, n_max, budget=None, strategy=STRATEGY_ALL_LEVELS):
+    """The census as it decomposed (a**(k*m) - 1) at every level, kept as the oracle.
+
+    Every level k*m up to the last multiplier is decomposed; a level is
+    complete when (a**(k*m) - 1) is, and the places of a complete level's
+    squarefree slice that no smaller complete level held are fresh.
+    """
+    cache = CycloFactorCache(a, budget)
+    if strategy == STRATEGY_PRIME_LEVELS:
+        record_at = set(primes_up_to(n_max))
+    else:
+        record_at = set(range(1, n_max + 1))
+    result = CensusResult(a, k, n_max, strategy)
+    seen = set()
+    for m in range(1, max(record_at, default=0) + 1):
+        level = k * m
+        dec = decompose(cache, level)
+        recorded = m in record_at
+        if not dec.power_ideal.complete:
+            if recorded:
+                result.skipped_levels.append(level)
+            continue
+        fresh = [P for P, _ in dec.level_squarefree.items_sorted() if P not in seen]
+        seen.update(fresh)
+        if not recorded:
+            continue
+        result.complete_multipliers.append(m)
+        for P in fresh:
+            if P.kind == KIND_RAMIFIED:
+                result.excluded.append({"place": P.label(), "level": level, "reason": "ramified"})
+            elif k % P.p == 0:
+                result.excluded.append({"place": P.label(), "level": level,
+                                        "reason": "residue characteristic divides the modulus"})
+            else:
+                result.records.append(CensusRecord(P, level, P.norm, P.norm % k))
+    return result
+
+
+def census_by_level(result):
+    """{level: (records, exclusions)} over the levels a census completed."""
+    out = {result.k * m: ([], []) for m in result.complete_multipliers}
+    for r in result.records:
+        out[r.discovered_at_level][0].append(r.as_dict())
+    for entry in result.excluded:
+        out[entry["level"]][1].append(entry)
+    return out
+
+
+# one base per ring; small budgets leave 2 + w in d = 2 with many unfinished
+# levels, and 1 + w in d = 3 with levels 30, 42, 60 and 78, whose cofactors
+# hide places while other levels certify their rational primes
+CENSUS_GRID_BASES = {0: (3,), 1: (2, 1), 2: (2, 1), 3: (1, 1), 7: (1, 1), 11: (1, 1)}
+CENSUS_GRID_N_MAX = 14
+TINY_BUDGETS = [FactorBudget(50, 0), FactorBudget(7, 100), FactorBudget(2, 10)]
+_DEFAULT_CENSUSES = {}
+
+
+def grid_base(d):
+    return FieldSpec.from_d(d).element(*CENSUS_GRID_BASES[d])
+
+
+def default_census(d, k):
+    if (d, k) not in _DEFAULT_CENSUSES:
+        _DEFAULT_CENSUSES[d, k] = census(grid_base(d), k, CENSUS_GRID_N_MAX)
+    return _DEFAULT_CENSUSES[d, k]
+
+
+class TestCensusReadsLevels:
+    """A level's records come from that level alone, and never depend on the budget."""
+
+    def test_level_with_a_cofactor_is_skipped(self, d3_field):
+        # at trial limit 50 without rho, Phi_30(1 + w) keeps 16531 = 61 * 271
+        # and Phi_42(1 + w) keeps 1241143, although 61, 271 and the primes of
+        # level 42's divisors are certified elsewhere
+        result = census(d3_field.element(1, 1), 3, 14, FactorBudget(50, 0))
+        assert {30, 42} <= set(result.skipped_levels)
+        full = census(d3_field.element(1, 1), 3, 14)
+        assert full.skipped_levels == []
+        assert {r.place.label() for r in full.records if r.discovered_at_level in (30, 42)} >= {
+            "(61,split,48)", "(271,split,29)", "(547,split,41)", "(2269,split,2187)"
+        }
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 7])
+    def test_small_budget_completes_only_default_levels(self, d, k):
+        reference = census_by_level(default_census(d, k))
+        for budget in TINY_BUDGETS:
+            small = census_by_level(census(grid_base(d), k, CENSUS_GRID_N_MAX, budget))
+            for level, found in small.items():
+                assert found == reference.get(level), (d, k, budget, level)
+
+    @pytest.mark.parametrize("strategy", [STRATEGY_ALL_LEVELS, STRATEGY_PRIME_LEVELS])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 7, 11])
+    def test_matches_the_decompose_census(self, d, k, strategy):
+        a = grid_base(d)
+        for budget in (None, FactorBudget(1000, 10)):
+            new = census(a, k, CENSUS_GRID_N_MAX, budget, strategy)
+            old = decompose_census(a, k, CENSUS_GRID_N_MAX, budget, strategy)
+            assert census_by_level(new) == census_by_level(old), (d, k, budget)
+            assert new.skipped_levels == old.skipped_levels, (d, k, budget)
+        for budget in TINY_BUDGETS:
+            new = census_by_level(census(a, k, CENSUS_GRID_N_MAX, budget, strategy))
+            old = census_by_level(decompose_census(a, k, CENSUS_GRID_N_MAX, budget, strategy))
+            # the new census may only skip a level the old one completed
+            assert new.keys() <= old.keys(), (d, k, budget)
+            assert new == {level: old[level] for level in new}, (d, k, budget)
 
 
 class TestOrderConsistency:

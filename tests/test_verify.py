@@ -22,6 +22,7 @@ from wieferich import (
     check_squarefree_nonwieferich,
     check_upper_norm_bound,
     cyclotomic_eval,
+    decompose,
     euler_phi,
     exception_set,
     exception_set_union,
@@ -222,6 +223,17 @@ class TestBoundChecks:
         report = check_order_consistency_range(cache_2i, 24)
         assert report.passed and report.checked > 0
         assert calls == []
+
+    def test_level_with_a_cofactor_is_skipped(self, d3_field):
+        # at trial limit 50 without rho, Phi_30(1 + w) keeps 16531 = 61 * 271
+        # while a**30 - 1 is accounted for by primes certified at other levels
+        cache = CycloFactorCache(d3_field.element(1, 1), FactorBudget(50, 0))
+        dec = decompose(cache, 30)
+        assert dec.power_ideal.complete and dec.level_ideal.cofactor == 16531
+        assert not dec.complete
+        for report in (check_pairwise_coprime(cache, 30), check_squarefree_nonwieferich(cache, 30)):
+            assert 30 in [s["n"] for s in report.skipped]
+        assert 30 in bound_trend_report(cache, 30).skipped_levels
 
     def test_full_verification_sweeps_use_its_budget(self, d2_field):
         # each sweep report of the bundle equals the standalone check on a
