@@ -101,7 +101,7 @@ def _places_over(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
 def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     """The primes of the ring over the rational prime p, split pair sorted by t.
 
-    p must be proved prime by certify_prime under the default budget.
+    p must be proved prime by certify_prime, which reads p alone.
     """
     verdict = certify_prime(p)
     if verdict is False:

@@ -22,12 +22,13 @@ inversion (Montgomery, Math. Comp. 48, 1987).
 
 Primality is certified, never assumed.  Below psi_13, the least strong
 pseudoprime to the 13 prime bases 2..41, those bases are exact.  Above it
-certify_prime tries, in order: an Atkin-Morain ECPP chain (Goldwasser-Kilian,
-J. ACM 46, 1999; Atkin-Morain, Math. Comp. 61, 1993) whose curves have
-complex multiplication by one of the nine class-number-one discriminants, so
-their j-invariants are integers and no class polynomial is needed; then
-Pocklington with n - 1 factored under the budget.  Only the second depends
-on the budget.  When the budget runs out the result carries the unfactored
+certify_prime needs an Atkin-Morain ECPP chain (Goldwasser-Kilian, J. ACM 46,
+1999; Atkin-Morain, Math. Comp. 61, 1993) whose curves have complex
+multiplication by one of the nine class-number-one discriminants, so their
+j-invariants are integers and no class polynomial is needed.  A curve order
+whose part left after the primes below 2**16 is still composite is peeled by
+short rho runs, within the chain's fixed node count.  No proof reads the
+budget.  When the budget runs out the factorization carries the unfactored
 cofactor and is flagged incomplete instead of silently pretending.
 """
 
@@ -49,7 +50,6 @@ DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MAX_TRIAL_LIMIT = 10**7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXTRA_PROBABLE_ROUNDS = 16
-_MAX_CERT_DEPTH = 6
 _TRIAL_BLOCK = 512
 _SIEVE_SEGMENT = 1 << 15
 _RHO_SHARE = 10**5
@@ -63,10 +63,12 @@ _CM_J_INVARIANTS = {
     3: 0, 4: 1728, 7: -3375, 8: 8000, 11: -32768, 19: -884736,
     43: -884736000, 67: -147197952000, 163: -262537412640768000,
 }
-# ECPP strips the primes below this bound from curve orders, and its
-# depth-first descent tries at most this many candidate orders per chain
+# ECPP strips the primes below this bound from curve orders, peels what
+# stays composite by rho runs of _ECPP_RHO iterations, and spends at most
+# _ECPP_MAX_NODES candidate orders and rho runs together per chain
 _ECPP_STRIP_BOUND = 1 << 16
 _ECPP_MAX_NODES = 64
+_ECPP_RHO = 1 << 13
 # (q, D, a, b, m, r, P): the curve y^2 = x^3 + a*x + b mod q with CM by D,
 # an order m = k * r and the point P = (x, y)
 EcppStep = tuple[int, int, int, int, int, int, tuple[int, int]]
@@ -266,12 +268,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def certify_prime(n: int, budget: FactorBudget | None = None, _depth: int = 0) -> bool | None:
+def certify_prime(n: int) -> bool | None:
     """True (proved prime), False (proved composite), None (undecided).
 
-    Above DETERMINISTIC_MR_BOUND a probable prime gets two proofs in order:
-    an Atkin-Morain ECPP chain, which does not depend on the budget, and
-    Pocklington with n - 1 factored under the budget.
+    Above DETERMINISTIC_MR_BOUND a probable prime is proved only by an
+    Atkin-Morain ECPP chain, so the verdict depends on n alone.
     """
     if n < 2:
         return False
@@ -279,36 +280,7 @@ def certify_prime(n: int, budget: FactorBudget | None = None, _depth: int = 0) -
         return is_probable_prime(n)
     if not is_probable_prime(n):
         return False
-    if _depth >= _MAX_CERT_DEPTH:
-        return None
-    if _ecpp_chain(n) is not None:
-        return True
-    return _pocklington(n, budget or FactorBudget(), _depth)
-
-
-def _pocklington(n: int, budget: FactorBudget, depth: int) -> bool | None:
-    """Pocklington-Lehmer certificate using a partial factorization of n - 1.
-
-    Requires the certified-prime part F of n - 1 to exceed sqrt(n); every
-    prime divisor of n is then 1 mod F, which is impossible for composite n.
-    """
-    nm1 = n - 1
-    partial = _factor_with_budget(nm1, budget, depth + 1)
-    factored_part = math.prod(p**e for p, e in partial.factors.items())
-    if factored_part * factored_part <= n:
-        return None
-    for q in partial.factors:
-        for a in range(2, 64):
-            if pow(a, nm1, n) != 1:
-                return False
-            g = math.gcd(pow(a, nm1 // q, n) - 1, n)
-            if 1 < g < n:
-                return False
-            if g == 1:
-                break
-        else:
-            return None
-    return True
+    return True if _ecpp_chain(n) is not None else None
 
 
 def _ecpp_bound(q: int) -> int:
@@ -414,10 +386,19 @@ def _cornacchia(q: int, d: int) -> tuple[int, int] | None:
     return (t, s) if rest == 0 and s * s == c else None
 
 
-def _ecpp_candidates(q: int) -> list[tuple[int, int, int]]:
-    """(r, d, m) for each CM curve order m of q whose part r prime to the primes
-    below 2**16 is a probable prime past _ecpp_bound(q) and below m; smallest r first."""
-    found = []
+def _ecpp_candidates(q: int, nodes: Iterator[int]) -> Iterator[tuple[int, int, int]]:
+    """(r, d, m) for CM curve orders m of q with a probable prime r | m past
+    _ecpp_bound(q) and below m.
+
+    First come the orders whose part r prime to the primes below 2**16 is
+    such a prime, smallest r first.  Then each order whose part is still
+    composite, smallest first, is peeled by _brent_rho runs of _ECPP_RHO
+    iterations, each taking one of the nodes and keeping the larger piece,
+    until that piece is a probable prime past the bound, falls to the bound,
+    or a run finds no factor.
+    """
+    bound = _ecpp_bound(q)
+    found, composite = [], []
     for d in _CM_J_INVARIANTS:
         ts = _cornacchia(q, d)
         if ts is None:
@@ -430,9 +411,22 @@ def _ecpp_candidates(q: int) -> list[tuple[int, int, int]]:
             while g > 1:
                 r //= g
                 g = math.gcd(r, g)
-            if r < m and r > _ecpp_bound(q) and is_probable_prime(r):
-                found.append((r, d, m))
-    return sorted(found)
+            if bound < r < m:
+                (found if is_probable_prime(r) else composite).append((r, d, m))
+    yield from sorted(found)
+    for r, d, m in sorted(composite):
+        for _ in nodes:
+            factor = _brent_rho(r, _ECPP_RHO, 0)[0]
+            if factor is None:
+                break
+            r = max(factor, r // factor)
+            if r <= bound:
+                break
+            if is_probable_prime(r):
+                yield r, d, m
+                break
+        else:
+            return
 
 
 def _ecpp_descent(q: int, nodes: Iterator[int]) -> list[tuple[int, int, int, int]] | None:
@@ -440,7 +434,7 @@ def _ecpp_descent(q: int, nodes: Iterator[int]) -> list[tuple[int, int, int, int
     depth-first search over the candidates; None at a dead end or once the nodes run out."""
     if q < DETERMINISTIC_MR_BOUND:
         return []
-    for r, d, m in _ecpp_candidates(q):
+    for r, d, m in _ecpp_candidates(q, nodes):
         if next(nodes, None) is None:
             return None
         rest = _ecpp_descent(r, nodes)
@@ -681,7 +675,9 @@ def _split_composite(n: int, effort: int, sigmas: Iterator[int]) -> int | None:
     return None
 
 
-def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResult:
+def factorize(n: int, budget: FactorBudget | None = None) -> FactorResult:
+    """Factor n >= 1 within the given effort budget."""
+    budget = budget or FactorBudget()
     if n < 1:
         raise ValueError("factorization target must be >= 1")
     if n == 1:
@@ -720,7 +716,7 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
         if power > 1:
             stack.append((root, mult * power))
             continue
-        verdict = certify_prime(value, budget, depth)
+        verdict = certify_prime(value)
         if verdict is True:
             factors[value] = factors.get(value, 0) + mult
             continue
@@ -740,7 +736,3 @@ def _factor_with_budget(n: int, budget: FactorBudget, depth: int) -> FactorResul
             cofactor //= p
     return FactorResult(original, factors, cofactor)
 
-
-def factorize(n: int, budget: FactorBudget | None = None) -> FactorResult:
-    """Factor n >= 1 within the given effort budget."""
-    return _factor_with_budget(n, budget or FactorBudget(), 0)

@@ -171,13 +171,14 @@ def check_squarefree_nonwieferich(cache: CycloFactorCache, n_max: int) -> BoundC
     """Every prime of the squarefree part of (a^n - 1), a = cache.a, tests non-Wieferich.
 
     Each (level, place) pair is counted in checked, but each distinct place
-    is tested once per call.
+    is tested once per call.  A level is skipped only while (a^n - 1) keeps a
+    cofactor: once it has none, its squarefree part is exact.
     """
     a = cache.a
     report = _report("squarefree-places-nonwieferich", a, n_max)
     verdicts = {}
     for dec in cache.sweep(n_max):
-        if not dec.complete:
+        if not dec.power_ideal.complete:
             report.skipped.append({"n": dec.n, "reason": "incomplete factorization"})
             continue
         for P, _ in dec.squarefree.items_sorted():

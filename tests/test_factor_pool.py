@@ -42,7 +42,7 @@ if pin:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 forks = []
 os.register_at_fork(after_in_parent=lambda: forks.append(os.getpid()))
-from wieferich import cli, cyclo, ideals, intfactor, places, qfield
+from wieferich import cli, cyclo, ideals, places, qfield
 parent = os.getpid()
 def note(notes):
     with open(notes, "a") as handle:
@@ -60,18 +60,18 @@ if plant and plant[0] == "scan":
 elif plant:
     kind, level, notes = plant
     target = cyclo.cyclotomic_eval(level, qfield.FieldSpec.from_d(1).element(2, 1)).abs_norm()
-    factor = intfactor._factor_with_budget
-    def planted(n, budget, depth):
+    factor = ideals.factorize
+    def planted(n, budget=None):
         if n != target:
-            return factor(n, budget, depth)
+            return factor(n, budget)
         in_worker = note(notes)
         if kind == "die":
             if in_worker:
                 os._exit(1)
-            return factor(n, budget, depth)
+            return factor(n, budget)
         error = {"budget": ideals.BudgetExhausted, "invariant": qfield.InvariantViolation}[kind]
         raise error(f"planted failure at level {level}")
-    intfactor._factor_with_budget = planted
+    ideals.factorize = planted
 # still in the buffer when the workers fork
 print("output follows")
 code = cli.main(argv)
@@ -237,7 +237,7 @@ def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys, argv):
 @needs_fork
 def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch):
     """factor_levels hands the workers the same factor_principal call level(d) makes."""
-    from wieferich import FieldSpec, ideals, intfactor
+    from wieferich import FieldSpec, ideals
     from wieferich.cyclo import CycloFactorCache, divisors
 
     budget = FactorBudget(trial_limit=2)
@@ -252,7 +252,7 @@ def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch
     def refuse(*args):
         raise AssertionError("a finished level was factored again")
 
-    monkeypatch.setattr(intfactor, "_factor_with_budget", refuse)
+    monkeypatch.setattr(ideals, "factorize", refuse)
     assert {d: cache.level(d) for d in levels} == in_process
 
 

@@ -261,7 +261,7 @@ class TestFactorize:
         assert result.cofactor > 1
         assert reassembled(result) == p * q
         for prime in result.factors:
-            assert certify_prime(prime, FactorBudget(trial_limit=10**3, rho_iterations=50)) is True
+            assert certify_prime(prime) is True
 
     def test_perfect_power_peeling(self):
         n = (15485867) ** 3
@@ -694,32 +694,41 @@ class TestECPP:
     """The Atkin-Morain chain that proves primes past the Miller-Rabin bound."""
 
     @staticmethod
-    def pocklington_spy(monkeypatch) -> list[int]:
-        """The n of every _pocklington call from now on."""
+    def rho_spy(monkeypatch) -> list[int]:
+        """The n of every _brent_rho run from now on."""
         calls = []
-        pocklington = intfactor._pocklington
+        rho = intfactor._brent_rho
 
-        def spy(n, budget, depth):
+        def spy(n, max_iters, attempt):
             calls.append(n)
-            return pocklington(n, budget, depth)
+            return rho(n, max_iters, attempt)
 
-        monkeypatch.setattr(intfactor, "_pocklington", spy)
+        monkeypatch.setattr(intfactor, "_brent_rho", spy)
         return calls
 
-    def test_census_gauss_primes_need_no_budget(self, monkeypatch):
-        # the chain proves each of them before any Pocklington call
-        calls = self.pocklington_spy(monkeypatch)
+    def test_census_gauss_primes_need_no_peel(self, monkeypatch):
+        # each of them has a chain through orders whose stripped part is prime,
+        # so census-gauss pays for no rho run inside a proof
+        calls = self.rho_spy(monkeypatch)
         for p in CENSUS_GAUSS_PRIMES:
-            assert certify_prime(p, FactorBudget(10**3, 0)) is True, p
+            assert certify_prime(p) is True, p
         assert calls == []
 
-    def test_pocklington_proves_a_prime_no_chain_reaches(self, monkeypatch):
-        # a 139-bit prime of level 160 of census -d 1 -a 2,1
+    def test_peeled_order_proves_a_prime_the_strip_misses(self):
+        # a 139-bit prime of level 160 of census -d 1 -a 2,1: no order's part
+        # prime to the primes below 2**16 is prime, and rho peels 113017 off one
         q = 433680868994201773602564634132105306674641
-        assert intfactor._ecpp_chain(q) is None
-        calls = self.pocklington_spy(monkeypatch)
         assert certify_prime(q) is True
-        assert calls[0] == q
+        _, _, a, b, m, r, P = ecpp_step(q)
+        assert max(small_factors(m // r)) > intfactor._ECPP_STRIP_BOUND
+        assert intfactor._ecpp_step_holds(q, a, b, m, r, P)
+
+    def test_peel_gives_up_within_the_nodes(self, monkeypatch):
+        # the 280-bit probable prime of level 139 of census -d 1 -a 2,1
+        q = 1373598218259996285644462524008538599438107346003212393523675170048618217618375922993
+        calls = self.rho_spy(monkeypatch)
+        assert certify_prime(q) is None
+        assert 0 < len(calls) <= intfactor._ECPP_MAX_NODES
 
     def test_chain_steps_link_and_hold(self):
         chain = intfactor._ecpp_chain(CENSUS_GAUSS_PRIMES[-1])
@@ -738,8 +747,7 @@ class TestECPP:
         assert intfactor._ecpp_chain(p) == intfactor._ecpp_chain(p)
 
     def test_agrees_with_sympy(self):
-        # with nine discriminants some primes have no usable curve order, and
-        # then certify_prime falls back to Pocklington
+        # every prime of the sample has a chain once composite orders are peeled
         sympy = pytest.importorskip("sympy")
         rng = random.Random(2024)
         proved = 0
@@ -751,7 +759,7 @@ class TestECPP:
                 assert chain[0][0] == p
                 assert all(sympy.isprime(step[5]) for step in chain)
             assert certify_prime(p * sympy.nextprime(p)) is False
-        assert proved >= 6
+        assert proved == 11
 
     def test_mutations_are_rejected(self):
         verdicts = mutation_verdicts()

@@ -231,9 +231,13 @@ class TestBoundChecks:
         dec = decompose(cache, 30)
         assert dec.power_ideal.complete and dec.level_ideal.cofactor == 16531
         assert not dec.complete
-        for report in (check_pairwise_coprime(cache, 30), check_squarefree_nonwieferich(cache, 30)):
-            assert 30 in [s["n"] for s in report.skipped]
+        assert 30 in [s["n"] for s in check_pairwise_coprime(cache, 30).skipped]
         assert 30 in bound_trend_report(cache, 30).skipped_levels
+        # the squarefree part of a**30 - 1 is exact, so that check reads level 30
+        squarefree = check_squarefree_nonwieferich(cache, 30)
+        assert 30 not in [s["n"] for s in squarefree.skipped]
+        assert squarefree.passed
+        assert squarefree.checked > check_squarefree_nonwieferich(cache, 29).checked
 
     def test_full_verification_sweeps_use_its_budget(self, d2_field):
         # each sweep report of the bundle equals the standalone check on a
