@@ -69,6 +69,12 @@ _CM_J_INVARIANTS = {
 _ECPP_STRIP_BOUND = 1 << 16
 _ECPP_MAX_NODES = 64
 _ECPP_RHO = 1 << 13
+# the odd primes q up to 73 with their nonzero squares mod q, from which
+# sqrt_mod_prime reads (q/p) by reciprocity
+_RECIPROCITY_SQUARES = tuple(
+    (q, frozenset(x * x % q for x in range(1, q)))
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+)
 # (q, D, a, b, m, r, P): the curve y^2 = x^3 + a*x + b mod q with CM by D,
 # an order m = k * r and the point P = (x, y)
 EcppStep = tuple[int, int, int, int, int, int, tuple[int, int]]
@@ -200,8 +206,13 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p, or None for a non-residue.
 
     One power and a square check at p = 3 mod 4, Atkin's formula (one power
-    and a square check) at p = 5 mod 8, Tonelli-Shanks after an Euler test
-    at p = 1 mod 8.
+    and a square check) at p = 5 mod 8.  At p = 1 mod 8 Tonelli-Shanks
+    (Shanks, 1973; Cohen, GTM 138, Alg. 1.5.1) starts from the least
+    non-residue z, read by reciprocity from the residues mod the odd primes
+    up to 73 and found by Euler's criterion only past them, and from one
+    power w = n**((q-1)/2), where p - 1 = q * 2**s with q odd: r = n*w and
+    t = r*w.  A non-residue shows itself when the squaring loop reaches s
+    squarings, so no Euler test of n is made.
     """
     n %= p
     if n == 0:
@@ -215,20 +226,27 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
         i = 2 * n * v * v % p
         r = n * v * (i - 1) % p
         return r if r * r % p == n else None
-    half = (p - 1) // 2
-    if pow(n, half, p) != 1:
-        return None
+    # 2 is a residue and products of residues are residues, so the least
+    # non-residue is an odd prime z < p, and (z/p) = (p mod z / z) as p = 1 mod 4
+    for z, squares in _RECIPROCITY_SQUARES:
+        if p % z not in squares:
+            break
+    else:
+        z, half = z + 2, (p - 1) // 2
+        while pow(z, half, p) != p - 1:
+            z += 2
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s with q odd
     q = (p - 1) >> s
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    w = pow(n, (q - 1) // 2, p)
+    r = n * w % p  # n**((q+1)/2)
+    m, c, t = s, pow(z, q, p), r * w % p  # t = n**q
     while t != 1:
         i, probe = 0, t
         while probe != 1:
             probe = probe * probe % p
             i += 1
+            if i == m:
+                return None
         b = pow(c, 1 << (m - i - 1), p)
         m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return r

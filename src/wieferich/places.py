@@ -11,15 +11,17 @@ class, with every claimed property re-checked at emission time.
 The Wieferich scan makes one pass over a segmented sieve, so its memory stays
 flat as the bound grows; on two or more usable CPUs a long scan hands its
 segments to forked workers (workers.fork_map), as the census does with its
-levels, and joins their hits in order.  The scan sorts each p by the roots
-of the generator's minimal polynomial mod p, the rule primes_above uses.  A
-split place costs one built-in pow mod p**2 after a lifted root; a ramified
-place costs one pair power a**(p-1) mod p; an inert place costs one built-in
-pow on the norm
-of a, and only the rare places that pass it pay a pair power a**(p+1) and
-one more built-in pow; rational mode is one built-in pow per place.  Only the
-hits get a full report, whose verdict is re-checked by is_wieferich_place,
-the single-place reference.
+levels, and joins their hits in order.  An odd p prime to the discriminant D
+splits or stays inert as (D/p) is 1 or -1, a character mod |D| since D is
+fundamental, so each segment makes one Euler test per class of p mod |D|.
+A split p, p = 2 and p | D are sorted by the roots of the generator's
+minimal polynomial mod p, the rule primes_above uses.  A split place costs
+one built-in pow mod p**2 after a square root and a lifted root; a ramified
+place costs one pair power a**(p-1) mod p; an inert place takes no square
+root and costs one built-in pow on the norm of a, and only the rare places
+that pass it pay a pair power a**(p+1) and one more built-in pow; rational
+mode is one built-in pow per place.  Only the hits get a full report, whose
+verdict is re-checked by is_wieferich_place, the single-place reference.
 """
 
 from __future__ import annotations
@@ -253,10 +255,15 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
 
     Places where a is not a unit are skipped, and every place is tested on
     raw integers.  Rational p is one built-in pow mod p**2.  In a quadratic
-    ring the roots from _place_roots tell split, ramified and inert p apart.
-    A split p lifts its root to p**2 by one Newton step and takes one
-    built-in pow per place.  A ramified P has P**2 = pO, so a**(p-1) must be
-    1 as a pair mod p.  An inert p first tests the norm: the norm from
+    ring an odd p prime to the discriminant D is split exactly when
+    D**((p-1)/2) == 1 mod p.  The Kronecker symbol (D/p) of the fundamental
+    D is a character mod |D|, so that power is taken once per class of p
+    mod |D| met in this call, and the verdicts live in a dict that dies with
+    the call.  An inert p then takes no square root; a split p, p = 2 and
+    p | D get their roots from _place_roots, which tell split, ramified and
+    inert apart.  A split p lifts its root to p**2 by one Newton step and
+    takes one built-in pow per place.  A ramified P has P**2 = pO, so
+    a**(p-1) must be 1 as a pair mod p.  An inert p first tests the norm: the norm from
     O/p**2 O to Z/p**2 is multiplicative and Nm(a)**(p*p-1) == Nm(a)**(p-1)
     mod p**2, so a hit needs Nm(a)**(p-1) == 1 mod p**2, one built-in pow
     that rejects almost every inert place.  The few that pass use Frobenius,
@@ -277,8 +284,18 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
         return hits, tested
     trace, nm = field.omega_trace, field.omega_norm
     norm = a.norm()
+    disc = field.discriminant
+    # the split verdict of each class of odd p mod |disc| met so far
+    split_classes: dict[int, bool] = {}
     for p in primes:
-        roots = _place_roots(field, p)
+        if p > 2 and disc % p:
+            key = p % disc
+            split = split_classes.get(key)
+            if split is None:
+                split = split_classes[key] = pow(disc, (p - 1) // 2, p) == 1
+            roots = _place_roots(field, p) if split else ()
+        else:
+            roots = _place_roots(field, p)
         pp = p * p
         if len(roots) == 2:
             t, other = roots

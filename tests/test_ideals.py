@@ -126,7 +126,8 @@ class TestSplitting:
 
 
 class TestModularHelpers:
-    # 17, 41, 73, 113 and 257 are 1 mod 8, so the non-residue search passes z = 2;
+    # 17, 41, 73, 113 and 257 are 1 mod 8 and take Tonelli-Shanks from the least
+    # non-residue, read by reciprocity (3, 3, 5, 3 and 3);
     # 5, 13, 29, 37, 53, 61, 101, 109 and 173 are 5 mod 8 and take Atkin's formula
     @pytest.mark.parametrize(
         "p", [3, 5, 7, 11, 13, 17, 29, 37, 41, 53, 61, 73, 101, 109, 113, 173, 257, 997]

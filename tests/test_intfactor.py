@@ -232,6 +232,90 @@ class TestHelpers:
         assert perfect_power(2) == (2, 1)
 
 
+def shanks_sqrt_reference(n: int, p: int) -> int | None:
+    """sqrt_mod_prime as it stood before reciprocity: an Euler test, the least
+    non-residue by Euler's criterion from z = 2, then Tonelli-Shanks from
+    n**q and n**((q+1)/2).  The oracle for the root sqrt_mod_prime returns."""
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if p % 8 == 5:
+        v = pow(2 * n, (p - 5) // 8, p)
+        i = 2 * n * v * v % p
+        r = n * v * (i - 1) % p
+        return r if r * r % p == n else None
+    half = (p - 1) // 2
+    if pow(n, half, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, half, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, probe = 0, t
+        while probe != 1:
+            probe = probe * probe % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def primes_one_mod_eight(rng: random.Random, count: int) -> list[int]:
+    """Probable primes of 60 to 200 bits, p = 1 mod 8, half of them with a
+    2-adic part of p - 1 between 2**20 and 2**40, so the squaring loop runs long."""
+    found = []
+    while len(found) < count:
+        bits = rng.randrange(60, 201)
+        s = rng.randrange(20, 41) if len(found) % 2 else 3
+        p = (rng.getrandbits(bits - s) | 1 << (bits - s - 1)) << s | 1
+        while not is_probable_prime(p):
+            p += 1 << s
+        found.append(p)
+    return found
+
+
+class TestSqrtModPrime:
+    """sqrt_mod_prime returns the root, or the None, of the algorithm it replaced."""
+
+    def test_every_residue_below_3000(self):
+        for p in primes_up_to(3000)[1:]:
+            for n in range(p):
+                assert intfactor.sqrt_mod_prime(n, p) == shanks_sqrt_reference(n, p), (n, p)
+
+    @pytest.mark.parametrize("p", [17, 41, 73, 427733329])
+    def test_random_residues(self, p):
+        # 17, 41 and 73 are in the reciprocity tuple; 427733329 = 1 mod 8 has
+        # least non-residue 79, past the tuple, so the Euler search finds it
+        assert p % 8 == 1
+        if p > 73:
+            least = min(z for z in range(2, 80) if pow(z, (p - 1) // 2, p) == p - 1)
+            assert least == 79 > intfactor._RECIPROCITY_SQUARES[-1][0]
+        rng = random.Random(p)
+        for _ in range(2000):
+            n = rng.randrange(-p, 2 * p)
+            assert intfactor.sqrt_mod_prime(n, p) == shanks_sqrt_reference(n, p), (n, p)
+            x = rng.randrange(p)
+            assert intfactor.sqrt_mod_prime(x * x, p) == shanks_sqrt_reference(x * x, p), (x, p)
+
+    def test_large_primes_one_mod_eight(self):
+        rng = random.Random(26)
+        for p in primes_one_mod_eight(rng, 24):
+            assert p % 8 == 1 and 60 <= p.bit_length() <= 200
+            for _ in range(40):
+                n = rng.randrange(p)
+                root = intfactor.sqrt_mod_prime(n, p)
+                assert root == shanks_sqrt_reference(n, p), (n, p)
+                x = rng.randrange(1, p)
+                root = intfactor.sqrt_mod_prime(x * x, p)
+                assert root == shanks_sqrt_reference(x * x, p) and root * root % p == x * x % p
+
+
 class TestFactorize:
     @given(st.integers(min_value=2, max_value=10**6))
     def test_matches_naive(self, n):

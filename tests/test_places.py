@@ -143,6 +143,15 @@ KERNEL_BASES = {
     11: [(0, 1), (7, 0), (-1, 2), (2, -1)],
 }
 
+# Rings scanned in one kernel call over all primes to 5000, so that a class of
+# p mod |D| is looked up as well as filled: D = -20; D = -4036, ramified at
+# 1009; D = -100003, whose |D| exceeds every scanned prime, so every class is new.
+WIDE_KERNEL_BASES = {
+    5: [(2, 1), (3, -1)],
+    1009: [(2, 1), (1, 3)],
+    100003: [(2, 1), (0, 1)],
+}
+
 
 class TestScanKernel:
     """The scan kernel decides every place exactly as is_wieferich_place does."""
@@ -158,6 +167,34 @@ class TestScanKernel:
                 outside.update(P.kind for P in primes_above(field, p) if not is_unit_mod(P, a))
         if d:
             assert outside == {KIND_SPLIT, KIND_INERT, KIND_RAMIFIED}
+
+    @pytest.mark.parametrize("d", sorted(WIDE_KERNEL_BASES))
+    def test_one_call_matches_reference(self, d):
+        field = FieldSpec.from_d(d)
+        primes = primes_up_to(5000)
+        kinds = {P.kind for p in primes for P in primes_above(field, p)}
+        assert kinds == {KIND_SPLIT, KIND_INERT} | ({KIND_RAMIFIED} if d < 5000 else set())
+        for coords in WIDE_KERNEL_BASES[d]:
+            a = field.element(*coords)
+            expected_hits, expected_tested = [], 0
+            for p in primes:
+                hits, tested = reference_scan(a, p)
+                expected_hits += hits
+                expected_tested += tested
+            assert places._wieferich_kernel(a, primes) == (expected_hits, expected_tested), coords
+
+    def test_square_roots_only_at_odd_split_primes(self, gauss_field, monkeypatch):
+        # p mod 4 decides split or inert in Z[i]; only a split p needs its roots
+        sqrt_mod_prime, calls = ideals.sqrt_mod_prime, []
+
+        def traced_sqrt(n, p):
+            calls.append(p)
+            return sqrt_mod_prime(n, p)
+
+        monkeypatch.setattr(ideals, "sqrt_mod_prime", traced_sqrt)
+        bound = 2 * 10**4
+        scan_wieferich_places(gauss_field.element(2, 1), bound)
+        assert calls == [p for p in primes_up_to(bound) if p % 4 == 1]
 
     def test_hits_cover_every_kind(self):
         covered = set()
