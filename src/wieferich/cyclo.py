@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd
-from operator import gt, mul
+from operator import gt, truediv
 
 from . import workers
 from .intfactor import FactorBudget, small_factors
@@ -79,37 +79,67 @@ def totient_density_constant(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=1)
-def _totient_table(limit: int) -> tuple[int, ...]:
-    """phi(0..limit) from one totient_sieve call, immutable, kept for the last limit only."""
-    return tuple(totient_sieve(limit))
+def _totient_ratios(limit: int) -> tuple[float, ...]:
+    """phi(n)/n as floats for n in 1..limit, immutable, kept for the last limit only.
+
+    The list from one totient_sieve call is divided through in place, 4096
+    entries at a time, so no second table of limit + 1 ints is ever held;
+    entry 0 stays phi(0) = 0.  Each entry is int / int true division, which
+    rounds the exact quotient to the nearest float.  At limit = 30000 the
+    table holds 30001 floats of 24 bytes behind 8-byte pointers, about
+    0.96 MB while the process lives.
+    """
+    ratio = totient_sieve(limit)
+    for start in range(1, limit + 1, 4096):
+        stop = min(start + 4096, limit + 1)
+        ratio[start:stop] = map(truediv, ratio[start:stop], range(start, stop))
+    return tuple(ratio)
 
 
 def high_totient_count(x: int, k: int) -> int:
     """How many n <= x satisfy phi(n*k) > (2/3) * c(k) * n * k, strictly.
 
     c(k) is totient_density_constant(k).  With g = gcd(n, k),
-    phi(n*k) = phi(n) * phi(k) * g / phi(g), and g <= n, so one table of
-    phi(0..x) serves every n and every k.  The comparison is multiplied
-    through by phi(g) and cleared of denominators, so it runs on exact
-    integers and ties (for instance n = 3, k = 1) are excluded.
+    phi(n*k) = phi(n) * phi(k) * g / phi(g), so the condition reads
+    phi(n)/n > num/den with num = 2 * c.numerator * k * phi(g) and
+    den = 3 * c.denominator * phi(k) * g.  Every n = r (mod k) has
+    gcd(n, k) = gcd(r, k), so each residue class r in 1..min(k, x) has one
+    threshold and is counted in one pass over its slice of the table.
 
-    The table is built once per x and kept for the last x only: calls for
-    many k at one x sieve once, and the table holds x + 1 ints while the
-    process lives (about 1.1 MB at x = 30000).  Every n = r (mod k) has
-    gcd(n, k) = gcd(r, k), so each residue class r in 1..min(k, x) is
-    counted in one pass over phi[r::k].
+    The pass compares floats, and the count stays exact because rounding to
+    nearest is monotone (IEEE 754): a <= b gives round(a) <= round(b).  Both
+    the table's phi(n)/n and num / den are correctly rounded quotients of
+    exact integers, so a float ratio above the float threshold means the
+    exact ratio is above it, and a float ratio below means it is below.
+    Only entries whose float equals the threshold's are undecided; they are
+    found with tuple.index and settled by den * phi(n) > num * n on integers.
+    Exact ties land there and count nothing (n = 3**j for k = 1).
+
+    The table of phi(n)/n is built once per x and kept for the last x only,
+    so calls for many k at one x sieve once; it holds x + 1 floats while the
+    process lives (about 0.96 MB at x = 30000).
     """
     if x < 1 or k < 1:
         raise ValueError("both arguments must be >= 1")
     c = totient_density_constant(k)
-    phi = _totient_table(x)
+    ratio = _totient_ratios(x)
     left = 3 * c.denominator * euler_phi(k)
     right = 2 * c.numerator * k
     count = 0
     for r in range(1, min(k, x) + 1):
         g = gcd(r, k)
-        count += sum(map(gt, map(mul, phi[r::k], repeat(left * g)),
-                         map(mul, range(r, x + 1, k), repeat(right * phi[g]))))
+        num, den = right * euler_phi(g), left * g
+        threshold = num / den
+        column = ratio[r::k]
+        count += sum(map(gt, column, repeat(threshold)))
+        tie = -1
+        while True:
+            try:
+                tie = column.index(threshold, tie + 1)
+            except ValueError:
+                break
+            n = r + tie * k
+            count += den * euler_phi(n) > num * n
     return count
 
 

@@ -641,11 +641,16 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
     if g > 1:
         return g if g < n else None
     xq = q[0] * pow(q[1], -1, n) % n
-    # baby steps j*Q for odd j < D/2, from (j + 2)Q = jQ + 2Q with difference (j - 2)Q
+    # baby steps j*Q for j < D/2 prime to 6, which covers the residues prime to
+    # D that stage 2 reads, from (j + 6)Q = jQ + 6Q with difference (j - 6)Q
+    one = (xq, 1)
     twice = _x_double(xq, 1, a24, n)
-    babies = {1: (xq, 1), 3: _x_add(twice, (xq, 1), (xq, 1), n)}
-    for j in range(5, _ECM_D // 2, 2):
-        babies[j] = _x_add(babies[j - 2], twice, babies[j - 4], n)
+    thrice = _x_add(twice, one, one, n)
+    five, six = _x_add(thrice, twice, one, n), _x_double(*thrice, a24, n)
+    babies = {1: one, 5: five, 7: _x_add(six, one, five, n), 11: _x_add(five, six, one, n)}
+    for j in range(13, _ECM_D // 2, 2):
+        if j % 3:
+            babies[j] = _x_add(babies[j - 6], six, babies[j - 12], n)
     # giant steps m*G, G = D*Q, from (m + 1)G = mG + G with difference (m - 1)G
     giant = _x_ladder(_ECM_D, xq, a24, n)
     giants = {1: giant, 2: _x_double(*giant, a24, n)}

@@ -71,6 +71,25 @@ def naive_phi(n):
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
+def integer_count(x, k):
+    """high_totient_count by the integer comparison it made before its float table.
+
+    With g = gcd(n, k), phi(n) * left * g > n * right * phi(g) is the
+    condition multiplied through by phi(g) and cleared of denominators.
+    """
+    c = totient_density_constant(k)
+    phi = cyclo.totient_sieve(x)
+    left = 3 * c.denominator * euler_phi(k)
+    right = 2 * c.numerator * k
+    return sum(1 for n in range(1, x + 1) if phi[n] * left * gcd(n, k) > n * right * phi[gcd(n, k)])
+
+
+def class_threshold(n, k):
+    """The exact num/den that phi(n)/n must exceed, for n's residue class mod k."""
+    c, g = totient_density_constant(k), gcd(n, k)
+    return Fraction(2 * c.numerator * k * euler_phi(g), 3 * c.denominator * euler_phi(k) * g)
+
+
 def naive_mobius(n):
     if n == 1:
         return 1
@@ -232,6 +251,48 @@ class TestTotientDensity:
         phi = cyclo.totient_sieve(500)
         phi[:] = [0] * len(phi)
         assert [high_totient_count(500, k) for k in (1, 6)] == expected
+
+    # 3**9 is a tie at k = 1; the float table turns over every 4096 entries
+    @pytest.mark.parametrize("x", [3**8, 3**9 - 1, 3**9, 10**4, 3 * 10**4])
+    def test_counts_match_the_integer_comparison(self, x):
+        for k in [*range(1, 31), 60, 210, 2310]:
+            assert high_totient_count(x, k) == integer_count(x, k), k
+
+    @pytest.mark.parametrize("x", [1, 4095, 4096, 4097, 3 * 10**4])
+    def test_table_holds_each_ratio_rounded_once(self, x):
+        phi = cyclo.totient_sieve(x)
+        ratios = cyclo._totient_ratios(x)
+        assert len(ratios) == x + 1 and ratios[0] == 0
+        assert all(type(value) is float for value in ratios[1:])
+        assert ratios[1:] == tuple(phi[n] / n for n in range(1, x + 1))
+
+    def test_float_ties_are_settled_in_integers_and_count_nothing(self, monkeypatch):
+        # phi(n)/n is 2/3 exactly at n = 3**j, the threshold of k = 1 and of
+        # odd n at k = 2; it is 1/3 exactly at n = 2**a * 3**b, the threshold
+        # of even n (g = 2) at k = 2
+        x = 3**9
+        powers_of_3 = {3**j for j in range(1, 10)}
+        mixed = {2**a * 3**b for a in range(1, 15) for b in range(1, 9)}
+        ties = {1: powers_of_3, 2: powers_of_3 | {n for n in mixed if n <= x}}
+        ratios = cyclo._totient_ratios(x)
+        real = cyclo.euler_phi
+        for k, expected in ties.items():
+            asked = []
+
+            def spy(n):
+                asked.append(n)
+                return real(n)
+
+            monkeypatch.setattr(cyclo, "euler_phi", spy)
+            count = high_totient_count(x, k)
+            monkeypatch.setattr(cyclo, "euler_phi", real)
+            equal = {n for n in range(1, x + 1) if ratios[n] == float(class_threshold(n, k))}
+            assert equal == expected
+            assert all(Fraction(real(n), n) == class_threshold(n, k) for n in equal)
+            # euler_phi is asked for k, for each class's g and for each tie
+            assert set(asked) - {1, k} == expected
+            above = sum(1 for n in range(1, x + 1) if ratios[n] > float(class_threshold(n, k)))
+            assert count == above == integer_count(x, k)
 
     def test_one_sieve_per_x(self, monkeypatch):
         high_totient_count(1, 1)  # leave no table for x = 3000 behind

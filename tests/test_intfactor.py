@@ -569,6 +569,23 @@ class TestECM:
                 assert _ecm_curve(p * (2**61 - 1), sigma) == p, (p, sigma)
         assert min(deaths.values()) >= 5, deaths
 
+    def test_a_full_curve_adds_only_the_points_stage2_reads(self, monkeypatch):
+        # one addition each for 3Q, 5Q, 7Q, 11Q and the 381 j < D/2 prime to 6
+        # from 13 on, and 85 for the giant steps mG, m = 3..87; stepping
+        # through every odd j < D/2 took 576 baby additions, 661 in all
+        n = next_prime(2**64) * next_prime(2**65)
+        calls = []
+        real = intfactor._x_add
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(intfactor, "_x_add", spy)
+        assert _ecm_curve(n, 6) is None
+        assert intfactor._ecm_plan()[2][-1][0] == 87
+        assert len(calls) == 470
+
     def test_plan_covers_each_stage2_prime_once(self):
         multiplier, residues, schedule = intfactor._ecm_plan()
         assert multiplier == ecm_multiplier(_ECM_B1)
