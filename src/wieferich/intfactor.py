@@ -6,7 +6,12 @@ and the elliptic curve method, all under an explicit budget.  Trial division
 takes batched gcds over prime blocks (Bernstein, "How to find small factors
 of integers", 2002): one gcd against the product of each block of consecutive
 primes, and division prime by prime only inside a block whose gcd exceeds 1,
-up to the last prime of that gcd.
+up to the last prime of that gcd.  It stops at the first cofactor that is a
+prime below psi_13 (see below), where one Miller-Rabin test is a proof: the
+cofactor is tested before the first block and after each block that divides
+it.  Past trial division every piece has no prime factor up to the trial
+limit L, so a perfect power r**k among them has r > L and only the k with
+(L + 1)**k <= n are tried.
 
 Each composite cofactor gets a splitting effort counted in rho iterations
 (FactorBudget.rho_iterations).  Rho is given the first _RHO_SHARE = 10**5
@@ -160,17 +165,14 @@ def _prime_stream(bound: int, segment: int = _SIEVE_SEGMENT, start: int = 0) -> 
 
 
 @lru_cache(maxsize=8)
-def _prime_blocks(limit: int) -> tuple[tuple[int, int], ...]:
-    """(first prime, product) of each run of _TRIAL_BLOCK consecutive primes <= limit.
+def _prime_blocks(limit: int) -> tuple[int, ...]:
+    """The product of each run of _TRIAL_BLOCK consecutive primes <= limit.
 
-    Block i holds primes_up_to(limit)[i * _TRIAL_BLOCK : (i + 1) * _TRIAL_BLOCK];
-    its first prime is kept as an int so that the trial loop's stopping test
-    reads no packed entry.
+    Block i holds primes_up_to(limit)[i * _TRIAL_BLOCK : (i + 1) * _TRIAL_BLOCK].
     """
     primes = primes_up_to(limit)
     return tuple(
-        (primes[start], math.prod(primes[start : start + _TRIAL_BLOCK]))
-        for start in range(0, len(primes), _TRIAL_BLOCK)
+        math.prod(primes[start : start + _TRIAL_BLOCK]) for start in range(0, len(primes), _TRIAL_BLOCK)
     )
 
 
@@ -308,8 +310,15 @@ def _ecpp_bound(q: int) -> int:
 
 @lru_cache(maxsize=1)
 def _ecpp_strip_product() -> int:
-    """The product of the primes below 2**16, which ECPP strips from curve orders."""
-    return math.prod(_prime_stream(_ECPP_STRIP_BOUND - 1))
+    """The product of the primes below 2**16, which ECPP strips from curve orders.
+
+    Multiplied pairwise up a product tree, so that the large products meet
+    only numbers of their own size.
+    """
+    layer = list(_prime_stream(_ECPP_STRIP_BOUND - 1))
+    while len(layer) > 1:
+        layer = [math.prod(layer[i : i + 2]) for i in range(0, len(layer), 2)]
+    return layer[0]
 
 
 def _ec_multiple(k: int, x: int, y: int, a: int, q: int) -> tuple[int, int, int] | None:
@@ -518,11 +527,21 @@ def _integer_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def perfect_power(n: int) -> tuple[int, int]:
-    """(root, k) with root**k == n and k maximal; (n, 1) when n is no power."""
+def perfect_power(n: int, least_root: int = 2) -> tuple[int, int]:
+    """(root, k) with root**k == n, root >= least_root and k maximal; (n, 1)
+    when there is none.
+
+    Only the k with least_root**k <= n are tried.  factorize passes
+    trial_limit + 1, since its pieces have no prime factor up to the trial
+    limit; the default 2 finds every power.
+    """
     if n < 4:
         return n, 1
-    for k in range(n.bit_length(), 1, -1):
+    # least_root >= 2**(b - 1) with b its bit length, so this k bounds the answer
+    top = (n.bit_length() - 1) // (least_root.bit_length() - 1)
+    while least_root**top > n:
+        top -= 1
+    for k in range(top, 1, -1):
         root = _integer_nth_root(n, k)
         if root >= 2 and root**k == n:
             return root, k
@@ -699,18 +718,26 @@ def _split_composite(n: int, effort: int, sigmas: Iterator[int]) -> int | None:
 
 
 def factorize(n: int, budget: FactorBudget | None = None) -> FactorResult:
-    """Factor n >= 1 within the given effort budget."""
+    """Factor n >= 1 within the given effort budget.
+
+    Trial division stops once the cofactor is a prime below
+    DETERMINISTIC_MR_BOUND, where is_probable_prime is a proof: it is tested
+    before the first prime block and after each block that divides it, and
+    on a pass it is recorded as the last factor.  Every later piece has no
+    prime factor up to the trial limit, so its perfect power search tries only
+    roots above the limit.
+    """
     budget = budget or FactorBudget()
     if n < 1:
         raise ValueError("factorization target must be >= 1")
     if n == 1:
         return FactorResult(1)
+    if n < DETERMINISTIC_MR_BOUND and is_probable_prime(n):
+        return FactorResult(n, {n: 1})
     original = n
     factors: dict[int, int] = {}
     primes = primes_up_to(budget.trial_limit)
-    for start, (first, product) in zip(count(0, _TRIAL_BLOCK), _prime_blocks(budget.trial_limit)):
-        if first * first > n:
-            break
+    for start, product in zip(count(0, _TRIAL_BLOCK), _prime_blocks(budget.trial_limit)):
         # the block's primes that divide n, each once, so the scan ends at the last of them
         shared = math.gcd(n, product)
         if shared == 1:
@@ -723,19 +750,19 @@ def factorize(n: int, budget: FactorBudget | None = None) -> FactorResult:
                 shared //= p
                 if shared == 1:
                     break
-    if n == 1:
-        return FactorResult(original, factors)
-    if n <= budget.trial_limit * budget.trial_limit:
-        # all prime factors below the trial limit were removed
-        factors[n] = factors.get(n, 0) + 1
-        return FactorResult(original, factors)
+        if n == 1:
+            return FactorResult(original, factors)
+        if n < DETERMINISTIC_MR_BOUND and is_probable_prime(n):
+            # n has no prime factor up to this block, so it follows every prime in factors
+            factors[n] = 1
+            return FactorResult(original, factors)
 
     cofactor = 1
     sigmas = count(_ECM_FIRST_SIGMA)
     stack: list[tuple[int, int]] = [(n, 1)]
     while stack:
         value, mult = stack.pop()
-        root, power = perfect_power(value)
+        root, power = perfect_power(value, budget.trial_limit + 1)
         if power > 1:
             stack.append((root, mult * power))
             continue
@@ -758,4 +785,3 @@ def factorize(n: int, budget: FactorBudget | None = None) -> FactorResult:
             factors[p] += 1
             cofactor //= p
     return FactorResult(original, factors, cofactor)
-

@@ -105,7 +105,7 @@ class TestPrimality:
     def test_block_products(self, limit):
         primes, size = list(primes_up_to(limit)), intfactor._TRIAL_BLOCK
         blocks = [primes[i : i + size] for i in range(0, len(primes), size)]
-        assert intfactor._prime_blocks(limit) == tuple((block[0], math.prod(block)) for block in blocks)
+        assert intfactor._prime_blocks(limit) == tuple(math.prod(block) for block in blocks)
 
     def test_trial_tables_allocate_under_one_mib(self):
         # a tuple of Python ints took about 3.3 MiB here
@@ -230,6 +230,24 @@ class TestHelpers:
         # non-powers report themselves with exponent 1
         assert perfect_power(12) == (12, 1)
         assert perfect_power(2) == (2, 1)
+
+    @given(st.integers(min_value=2, max_value=10**7), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=2, max_value=10**7))
+    def test_least_root_finds_the_largest_index_whose_root_reaches_it(self, root, k, least_root):
+        n = root**k
+        base, top = perfect_power(n)
+        # n = (base**(top // j))**j for each j | top
+        expected = max(
+            ((base ** (top // j), j) for j in range(1, top + 1) if top % j == 0 and base ** (top // j) >= least_root),
+            key=lambda pair: pair[1],
+            default=(n, 1),
+        )
+        assert perfect_power(n, least_root) == expected
+
+    def test_least_root_at_its_own_powers(self):
+        for k in range(1, 8):
+            assert perfect_power(1000001**k, 1000001) == (1000001, k)
+            assert perfect_power(1000001**k - 1, 1000001)[1] == 1
 
 
 def shanks_sqrt_reference(n: int, p: int) -> int | None:
@@ -413,6 +431,19 @@ def next_prime(n: int) -> int:
     return n
 
 
+def previous_prime(n: int) -> int:
+    n -= 1
+    while not is_probable_prime(n):
+        n -= 1
+    return n
+
+
+def assert_matches_per_prime_loop(inputs, budget: FactorBudget) -> None:
+    for n in dict.fromkeys(inputs):
+        result = factorize(n, budget)
+        assert (list(result.factors.items()), result.cofactor) == per_prime_trial_division(n, budget), n
+
+
 class TestTrialDivisionBlocks:
     """Trial division by prime blocks removes exactly what the per-prime loop removes."""
 
@@ -428,12 +459,100 @@ class TestTrialDivisionBlocks:
         inputs += [piece**2 for piece in pieces]
         inputs += [piece * (2**61 - 1) for piece in pieces]
         inputs.append(top * above * small[511] * small[512] * small[1024] ** 3)
-        budget = FactorBudget(trial_limit=limit, rho_iterations=10**5)
-        for n in dict.fromkeys(inputs):
-            result = factorize(n, budget)
-            assert (list(result.factors.items()), result.cofactor) == per_prime_trial_division(
-                n, budget
-            ), n
+        assert_matches_per_prime_loop(inputs, FactorBudget(trial_limit=limit, rho_iterations=10**5))
+
+    @pytest.mark.parametrize("effort", [0, 10])
+    @pytest.mark.parametrize("limit", [2, 3, 100, 10**4, 10**6])
+    def test_matches_per_prime_loop_where_the_cofactor_turns_prime(self, limit, effort):
+        # efforts that split almost nothing, so only trial division and the
+        # proofs can decide what is a factor
+        small = primes_up_to(10**4)
+        top = primes_up_to(limit)[-1]
+        above = next_prime(limit)
+        below_psi, above_psi = previous_prime(DETERMINISTIC_MR_BOUND), next_prime(DETERMINISTIC_MR_BOUND)
+        # primes left alone after the first block: in the second block, just
+        # past the limit, of 61 bits, and on either side of psi_13
+        turning = [small[600], above, 2**61 - 1, below_psi, above_psi]
+        multipliers = [1, 2, 6, 2**5 * 3**2 * small[511], small[100] * small[511] ** 2, top, top**2]
+        inputs = [m * p for m in multipliers for p in turning]
+        inputs += [top * above, top**3 * above, top * above**2, top * next_prime(above)]
+        inputs += [above**k for k in range(2, 8)]
+        inputs += [small[3] * above**k for k in range(2, 8)]
+        budget = FactorBudget(trial_limit=limit, rho_iterations=effort)
+        assert_matches_per_prime_loop(inputs, budget)
+        # the oracle hands these to factorize itself, so pin their root search directly
+        for k in range(2, 8):
+            assert list(factorize(above**k, budget).factors.items()) == [(above, k)]
+            assert list(factorize(2 * above**k, budget).factors.items()) == [(2, 1), (above, k)]
+
+
+class CallSpy:
+    """Wraps a function, recording the arguments of each call."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.fn(*args)
+
+
+class TestTrialDivisionStops:
+    """What factorize skips once the outcome is decided, seen through spies on its helpers."""
+
+    @staticmethod
+    def spies(monkeypatch) -> tuple[CallSpy, CallSpy, CallSpy]:
+        gcd, certify, root = CallSpy(math.gcd), CallSpy(certify_prime), CallSpy(intfactor._integer_nth_root)
+        proxy = type(math)("math")
+        proxy.__dict__.update(vars(math))
+        proxy.gcd = gcd
+        monkeypatch.setattr(intfactor, "math", proxy)
+        monkeypatch.setattr(intfactor, "certify_prime", certify)
+        monkeypatch.setattr(intfactor, "_integer_nth_root", root)
+        return gcd, certify, root
+
+    def test_proved_prime_cofactor_ends_trial_division(self, monkeypatch):
+        gcd, certify, root = self.spies(monkeypatch)
+        result = factorize(2 * 3 * (2**61 - 1))
+        assert list(result.factors.items()) == [(2, 1), (3, 1), (2**61 - 1, 1)]
+        assert len(gcd.calls) == 1
+        assert certify.calls == [] and root.calls == []
+
+    def test_prime_input_takes_no_block(self, monkeypatch):
+        gcd, certify, root = self.spies(monkeypatch)
+        assert list(factorize(2**61 - 1).factors.items()) == [(2**61 - 1, 1)]
+        assert gcd.calls == certify.calls == root.calls == []
+
+    def test_two_primes_past_the_limit_scan_every_block(self, monkeypatch):
+        gcd, certify, _ = self.spies(monkeypatch)
+        n = next_prime(10**6) * next_prime(10**7)
+        result = factorize(n, FactorBudget(10**6, 0))
+        assert result.cofactor == n
+        assert [args[1] for args in gcd.calls] == list(intfactor._prime_blocks(10**6))
+        assert certify.calls == [(n,)]
+
+    @pytest.mark.parametrize("small", [1, 6])
+    def test_prime_past_psi13_scans_every_block_and_is_certified(self, monkeypatch, small):
+        gcd, certify, _ = self.spies(monkeypatch)
+        p = next_prime(DETERMINISTIC_MR_BOUND)
+        result = factorize(small * p, FactorBudget(10**6, 0))
+        assert list(result.factors.items()) == [*factorize(small).factors.items(), (p, 1)]
+        blocks = intfactor._prime_blocks(10**6)
+        # the proof's own gcds follow the blocks
+        assert [args[1] for args in gcd.calls[: len(blocks)]] == list(blocks)
+        assert certify.calls == [(p,)]
+
+    @pytest.mark.parametrize(
+        "n",
+        [next_prime(2**100) * next_prime(2**101), next_prime(10**6) ** 7, next_prime(2**40) ** 3],
+        ids=["semiprime", "seventh-power", "cube"],
+    )
+    def test_root_search_stops_at_the_least_root_past_the_limit(self, monkeypatch, n):
+        # no prime factor <= 10**6, so a root r**k == n has r >= 10**6 + 1
+        _, _, root = self.spies(monkeypatch)
+        factorize(n, FactorBudget(10**6, 0))
+        top = max(k for k in range(1, n.bit_length()) if (10**6 + 1) ** k <= n)
+        assert root.calls and max(k for _, k in root.calls) <= top
 
 
 def ecm_multiplier(b1: int) -> int:
@@ -934,3 +1053,15 @@ class TestECPP:
         intfactor._ecpp_strip_product.cache_clear()
         assert intfactor._ecpp_strip_product() == math.prod(full_array_sieve(2**16))
         assert primes_up_to.cache_info().currsize == 0
+
+
+def test_workload_factorizations_keep_their_captured_results():
+    # every factorization above trial_limit**2 of census-gauss and the seed-1
+    # verify-sweep, captured by tests/data/capture_factorize_table.py
+    with open(Path(__file__).parent / "data" / "factorize_table.json") as handle:
+        rows = json.load(handle)["rows"]
+    assert len(rows) == 192 and {row["from"] for row in rows} == {"census-gauss", "verify-sweep"}
+    for row in rows:
+        result = factorize(row["n"], FactorBudget(row["trial_limit"], row["rho_iterations"]))
+        assert [list(item) for item in result.factors.items()] == row["factors"], row["n"]
+        assert result.cofactor == row["cofactor"], row["n"]
