@@ -11,6 +11,10 @@ levels n factors each cyclotomic value once.  When every divisor level is
 complete, (a^n - 1) is the product of their ideals; otherwise the exact
 valuations of the rational primes certified at the divisor levels are read
 off a^n - 1.
+
+Density counts of n with phi(n*k) > (2/3) * c(k) * n * k compare integers
+only: one table of 3 * phi(n) per x, and one byte row of verdicts per
+g = gcd(n, k) shared by every k that has that g.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
-from operator import gt, truediv
+from operator import gt, mul
 
 from . import workers
 from .intfactor import FactorBudget, small_factors
@@ -79,67 +83,54 @@ def totient_density_constant(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=1)
-def _totient_ratios(limit: int) -> tuple[float, ...]:
-    """phi(n)/n as floats for n in 1..limit, immutable, kept for the last limit only.
+def _three_phi_table(limit: int) -> tuple[list[int], dict[int, bytes]]:
+    """3 * phi(n) for n in 0..limit, and the mark rows built on it so far.
 
-    The list from one totient_sieve call is divided through in place, 4096
-    entries at a time, so no second table of limit + 1 ints is ever held;
-    entry 0 stays phi(0) = 0.  Each entry is int / int true division, which
-    rounds the exact quotient to the nearest float.  At limit = 30000 the
-    table holds 30001 floats of 24 bytes behind 8-byte pointers, about
-    0.96 MB while the process lives.
+    The list from one totient_sieve call is scaled in place, 4096 entries
+    at a time, so no second table of limit + 1 ints is ever held.  The table
+    and its rows (see _mark_row) are kept for the last limit only.
     """
-    ratio = totient_sieve(limit)
-    for start in range(1, limit + 1, 4096):
-        stop = min(start + 4096, limit + 1)
-        ratio[start:stop] = map(truediv, ratio[start:stop], range(start, stop))
-    return tuple(ratio)
+    three_phi = totient_sieve(limit)
+    for start in range(0, limit + 1, 4096):
+        three_phi[start : start + 4096] = map(mul, three_phi[start : start + 4096], repeat(3))
+    return three_phi, {}
+
+
+def _mark_row(three_phi: list[int], g: int) -> bytes:
+    """g's mark row: byte m - 1 is 1 when n = g*m has 3 * phi(n) > 2 * phi(g) * m,
+    else 0, for every multiple n of g in the table."""
+    two_phi_g = 2 * three_phi[g] // 3
+    # islice copies no part of the table (three_phi[1::1] would be a second
+    # list of limit pointers at peak); map stops with it, at m = limit // g
+    multiples = islice(three_phi, g, None, g)
+    return bytes(map(gt, multiples, range(two_phi_g, two_phi_g * len(three_phi), two_phi_g)))
 
 
 def high_totient_count(x: int, k: int) -> int:
     """How many n <= x satisfy phi(n*k) > (2/3) * c(k) * n * k, strictly.
 
-    c(k) is totient_density_constant(k).  With g = gcd(n, k),
-    phi(n*k) = phi(n) * phi(k) * g / phi(g), so the condition reads
-    phi(n)/n > num/den with num = 2 * c.numerator * k * phi(g) and
-    den = 3 * c.denominator * phi(k) * g.  Every n = r (mod k) has
-    gcd(n, k) = gcd(r, k), so each residue class r in 1..min(k, x) has one
-    threshold and is counted in one pass over its slice of the table.
+    c(k) is totient_density_constant(k), which equals phi(k)/k.  With
+    g = gcd(n, k), phi(n*k) = phi(n) * phi(k) * g / phi(g), so the condition
+    reads 3 * g * phi(n) > 2 * phi(g) * n, and k enters only through g.
+    Writing n = g*m, that is 3 * phi(n) > 2 * phi(g) * m, which _mark_row
+    decides once for every multiple of g up to x, on integers.  Every
+    n = r (mod k) has gcd(n, k) = gcd(r, k), so residue class r in
+    1..min(k, x) is the slice of g's row from m = r/g in steps of k/g.
 
-    The pass compares floats, and the count stays exact because rounding to
-    nearest is monotone (IEEE 754): a <= b gives round(a) <= round(b).  Both
-    the table's phi(n)/n and num / den are correctly rounded quotients of
-    exact integers, so a float ratio above the float threshold means the
-    exact ratio is above it, and a float ratio below means it is below.
-    Only entries whose float equals the threshold's are undecided; they are
-    found with tuple.index and settled by den * phi(n) > num * n on integers.
-    Exact ties land there and count nothing (n = 3**j for k = 1).
-
-    The table of phi(n)/n is built once per x and kept for the last x only,
-    so calls for many k at one x sieve once; it holds x + 1 floats while the
-    process lives (about 0.96 MB at x = 30000).
+    The table of 3 * phi(n) and its rows are built once per x and kept for
+    the last x only, so calls for many k at one x sieve once and build each
+    g's row once; for k = 1..10 at x = 30000 the rows hold about 2.9 * x
+    bytes next to the x + 1 ints of the table.
     """
     if x < 1 or k < 1:
         raise ValueError("both arguments must be >= 1")
-    c = totient_density_constant(k)
-    ratio = _totient_ratios(x)
-    left = 3 * c.denominator * euler_phi(k)
-    right = 2 * c.numerator * k
+    three_phi, rows = _three_phi_table(x)
     count = 0
     for r in range(1, min(k, x) + 1):
         g = gcd(r, k)
-        num, den = right * euler_phi(g), left * g
-        threshold = num / den
-        column = ratio[r::k]
-        count += sum(map(gt, column, repeat(threshold)))
-        tie = -1
-        while True:
-            try:
-                tie = column.index(threshold, tie + 1)
-            except ValueError:
-                break
-            n = r + tie * k
-            count += den * euler_phi(n) > num * n
+        if g not in rows:
+            rows[g] = _mark_row(three_phi, g)
+        count += rows[g][r // g - 1 :: k // g].count(1)
     return count
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -54,6 +55,15 @@ DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
 # the packed trial-division primes and their block products take about 4.5 MiB at 10**7
 _MAX_TRIAL_LIMIT = 10**7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_t for t = 1..13 (OEIS A014233; Jaeschke, Math. Comp. 61, 1993;
+# Sorenson-Webster): the least strong pseudoprime to the first t prime bases,
+# so below psi_t those t bases are exact
+_MR_PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461,
+    DETERMINISTIC_MR_BOUND,
+)
 _EXTRA_PROBABLE_ROUNDS = 16
 _TRIAL_BLOCK = 512
 _SIEVE_SEGMENT = 1 << 15
@@ -267,7 +277,11 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Exact for n below DETERMINISTIC_MR_BOUND, strong probable prime above."""
+    """Exact for n below DETERMINISTIC_MR_BOUND, strong probable prime above.
+
+    Below psi_t only the first t bases run, which are exact there; psi_t
+    itself gets at least t + 1.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -277,7 +291,7 @@ def is_probable_prime(n: int) -> bool:
             return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         if not _miller_rabin_round(n, a, d, s):
             return False
     if n >= DETERMINISTIC_MR_BOUND:

@@ -209,7 +209,7 @@ def test_criterion_08_distinct_new_primes_and_log_growth(sweep):
 def test_criterion_09_totient_density_positive_and_stable():
     hand = high_totient_count(10, 1)
     # all k at one x, then all k at the other: high_totient_count keeps the
-    # totient table of the last x only
+    # table of 3 * phi(n) and its rows for the last x only
     at_1e5 = [high_totient_count(10**5, k) / 10**5 for k in range(1, 11)]
     at_1e4 = [high_totient_count(10**4, k) / 10**4 for k in range(1, 11)]
     ok = hand == 3 and all(hi > 0 and abs(hi - lo) <= 0.05 for hi, lo in zip(at_1e5, at_1e4))

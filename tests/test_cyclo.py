@@ -6,6 +6,10 @@ polynomials, with naive integer polynomial long division.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -252,47 +256,76 @@ class TestTotientDensity:
         phi[:] = [0] * len(phi)
         assert [high_totient_count(500, k) for k in (1, 6)] == expected
 
-    # 3**9 is a tie at k = 1; the float table turns over every 4096 entries
+    # 3**9 is a tie at k = 1; the 3 * phi table is scaled 4096 entries at a time
     @pytest.mark.parametrize("x", [3**8, 3**9 - 1, 3**9, 10**4, 3 * 10**4])
     def test_counts_match_the_integer_comparison(self, x):
         for k in [*range(1, 31), 60, 210, 2310]:
             assert high_totient_count(x, k) == integer_count(x, k), k
 
+    # the 3 * phi table is scaled 4096 entries at a time
     @pytest.mark.parametrize("x", [1, 4095, 4096, 4097, 3 * 10**4])
-    def test_table_holds_each_ratio_rounded_once(self, x):
-        phi = cyclo.totient_sieve(x)
-        ratios = cyclo._totient_ratios(x)
-        assert len(ratios) == x + 1 and ratios[0] == 0
-        assert all(type(value) is float for value in ratios[1:])
-        assert ratios[1:] == tuple(phi[n] / n for n in range(1, x + 1))
+    def test_each_mark_row_is_built_once(self, x, monkeypatch):
+        cyclo._three_phi_table.cache_clear()
+        built = []
+        real = cyclo._mark_row
 
-    def test_float_ties_are_settled_in_integers_and_count_nothing(self, monkeypatch):
-        # phi(n)/n is 2/3 exactly at n = 3**j, the threshold of k = 1 and of
-        # odd n at k = 2; it is 1/3 exactly at n = 2**a * 3**b, the threshold
-        # of even n (g = 2) at k = 2
+        def spy(three_phi, g):
+            built.append((len(three_phi) - 1, g))
+            return real(three_phi, g)
+
+        monkeypatch.setattr(cyclo, "_mark_row", spy)
+        for k in range(1, 11):
+            high_totient_count(x, k)
+        gs = {gcd(r, k) for k in range(1, 11) for r in range(1, min(k, x) + 1)}
+        assert sorted(built) == [(x, g) for g in sorted(gs)]
+        three_phi, rows = cyclo._three_phi_table(x)
+        phi = cyclo.totient_sieve(x)
+        assert three_phi == [3 * value for value in phi]
+        for g in gs:
+            assert list(rows[g]) == [
+                int(3 * g * phi[n] > 2 * phi[g] * n) for n in range(g, x + 1, g)
+            ], g
+
+    def test_exact_ties_count_nothing(self):
+        # phi(n)/n is 2/3 exactly at n = 3**j, the threshold of g = 1 (k = 1,
+        # and odd n at k = 2); it is 1/3 exactly at n = 2**a * 3**b, the
+        # threshold of g = 2 (even n at k = 2)
         x = 3**9
         powers_of_3 = {3**j for j in range(1, 10)}
         mixed = {2**a * 3**b for a in range(1, 15) for b in range(1, 9)}
         ties = {1: powers_of_3, 2: powers_of_3 | {n for n in mixed if n <= x}}
-        ratios = cyclo._totient_ratios(x)
-        real = cyclo.euler_phi
+        phi = cyclo.totient_sieve(x)
         for k, expected in ties.items():
-            asked = []
-
-            def spy(n):
-                asked.append(n)
-                return real(n)
-
-            monkeypatch.setattr(cyclo, "euler_phi", spy)
             count = high_totient_count(x, k)
-            monkeypatch.setattr(cyclo, "euler_phi", real)
-            equal = {n for n in range(1, x + 1) if ratios[n] == float(class_threshold(n, k))}
+            _, rows = cyclo._three_phi_table(x)
+            equal = {n for n in range(1, x + 1) if Fraction(phi[n], n) == class_threshold(n, k)}
             assert equal == expected
-            assert all(Fraction(real(n), n) == class_threshold(n, k) for n in equal)
-            # euler_phi is asked for k, for each class's g and for each tie
-            assert set(asked) - {1, k} == expected
-            above = sum(1 for n in range(1, x + 1) if ratios[n] > float(class_threshold(n, k)))
-            assert count == above == integer_count(x, k)
+            assert not any(rows[gcd(n, k)][n // gcd(n, k) - 1] for n in equal)
+            assert count == integer_count(x, k)
+
+    def test_reduction_matches_the_definition(self):
+        # the rows compare phi(n)/n with 2 * phi(g) / (3 * g); the definition's
+        # threshold for phi(n)/n, with c = c(k), is the right-hand side
+        for k in range(1, 301):
+            c = totient_density_constant(k)
+            for g in divisors(k):
+                assert Fraction(2 * euler_phi(g), 3 * g) == Fraction(
+                    2 * c.numerator * k * euler_phi(g), 3 * c.denominator * euler_phi(k) * g
+                ), (k, g)
+
+    def test_counts_unchanged_under_optimize(self):
+        script = (
+            "import json\n"
+            "from wieferich.cyclo import high_totient_count\n"
+            "print(json.dumps([high_totient_count(3**9, k) for k in range(1, 11)]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cyclo.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [high_totient_count(3**9, k) for k in range(1, 11)]
 
     def test_one_sieve_per_x(self, monkeypatch):
         high_totient_count(1, 1)  # leave no table for x = 3000 behind

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal, getcontext
-from itertools import combinations, compress
+from itertools import combinations, compress, pairwise
 from math import isqrt
 from pathlib import Path
 
@@ -65,12 +65,40 @@ def full_array_sieve(limit: int) -> list[int]:
 
 
 PSI_12 = 318665857834031151167461
+# psi_1..psi_13 (OEIS A014233): the least strong pseudoprime to the first t prime bases
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051, PSI_12,
+    3317044064679887385961981,
+)
+THIRTEEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def odd_part(n: int) -> tuple[int, int]:
     """(d, s) with n = d * 2**s and d odd."""
     s = (n & -n).bit_length() - 1
     return n >> s, s
+
+
+def thirteen_base_verdict(n: int) -> bool:
+    """Miller-Rabin to all 13 prime bases 2..41, exact below psi_13."""
+    if n < 2:
+        return False
+    for p in THIRTEEN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = odd_part(n - 1)
+    for a in THIRTEEN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def naive_prime(n: int) -> bool:
@@ -194,6 +222,35 @@ class TestPrimality:
             for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
         )
         assert certify_prime(DETERMINISTIC_MR_BOUND) is False
+
+    def test_agrees_with_a_sieve_below_1e5(self):
+        primes = set(full_array_sieve(10**5 - 1))
+        assert [n for n in range(10**5) if is_probable_prime(n) != (n in primes)] == []
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_each_psi_is_rejected(self, t):
+        psi = PSI[t - 1]
+        assert all(intfactor._miller_rabin_round(psi, a, *odd_part(psi - 1)) for a in THIRTEEN_BASES[:t])
+        assert not is_probable_prime(psi)
+
+    def test_below_psi_only_the_bases_needed_run(self, monkeypatch):
+        spy = CallSpy(intfactor._miller_rabin_round)
+        monkeypatch.setattr(intfactor, "_miller_rabin_round", spy)
+        for psi in PSI:
+            p = psi - 2
+            while not thirteen_base_verdict(p):
+                p -= 2
+            spy.calls.clear()
+            assert is_probable_prime(p)
+            # the least t with p < psi_t
+            t = next(t for t, bound in enumerate(PSI, 1) if p < bound)
+            assert [call[1] for call in spy.calls] == list(THIRTEEN_BASES[:t]), psi
+
+    # one band between consecutive distinct psi_t, so every base count is drawn
+    @given(st.sampled_from(list(pairwise(sorted({0, *PSI})))).flatmap(
+        lambda band: st.integers(band[0], band[1] - 1)))
+    def test_agrees_with_thirteen_bases_below_psi_13(self, n):
+        assert is_probable_prime(n) == thirteen_base_verdict(n)
 
 
 class TestHelpers:
