@@ -39,53 +39,40 @@ EXIT_VIOLATION = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(sub: argparse.ArgumentParser, base_required: bool = True) -> None:
-    sub.add_argument("-d", type=int, required=True, metavar="D",
-                     help="field parameter: squarefree d >= 1 for Q(sqrt(-d)), 0 for plain integers")
-    if base_required:
-        sub.add_argument("-a", required=True, metavar="X[,Y]",
-                         help="base element coordinates in the integral basis")
-    sub.add_argument("--trial-limit", type=int, default=None,
-                     help="trial division bound, 2 to 10^7 (default 10^6, env " + ENV_TRIAL_LIMIT + ")")
-    sub.add_argument("--rho-iterations", type=int, default=None,
-                     help="splitting effort per composite cofactor, in rho iterations: rho is given"
-                          " 10^5 of it and the rest buys ECM curves (B1 = 2000, B2 = 2*10^5,"
-                          " sigma = 6, 7, ...) at 2^15 each (default 10^6, env " + ENV_RHO_ITERATIONS + ")")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--output", default=None, help="write output to this path instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wieferich",
         description="Wieferich and non-Wieferich places of imaginary quadratic rings",
     )
+    field, base, budget, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    field.add_argument("-d", type=int, required=True, metavar="D",
+                       help="field parameter: squarefree d >= 1 for Q(sqrt(-d)), 0 for plain integers")
+    base.add_argument("-a", required=True, metavar="X[,Y]",
+                      help="base element coordinates in the integral basis")
+    budget.add_argument("--trial-limit", type=int, default=None,
+                        help="trial division bound, 2 to 10^7 (default 10^6, env " + ENV_TRIAL_LIMIT + ")")
+    budget.add_argument("--rho-iterations", type=int, default=None,
+                        help="splitting effort per composite cofactor, in rho iterations: rho is given"
+                             " 10^5 of it and the rest buys ECM curves (B1 = 2000, B2 = 2*10^5,"
+                             " sigma = 6, 7, ...) at 2^15 each (default 10^6, env " + ENV_RHO_ITERATIONS + ")")
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    output.add_argument("--output", default=None, help="write output to this path instead of stdout")
     commands = parser.add_subparsers(dest="command")
 
-    p_field = commands.add_parser("field", help="describe the ring of integers")
-    p_field.add_argument("-d", type=int, required=True)
-    p_field.add_argument("--format", choices=("json", "csv"), default="json")
-    p_field.add_argument("--output", default=None)
-
-    p_classify = commands.add_parser(
-        "classify", help="classify the base, one place, or all places up to a bound"
-    )
-    _add_common(p_classify)
+    commands.add_parser("field", parents=[field, output], help="describe the ring of integers")
+    p_classify = commands.add_parser("classify", parents=[field, base, budget, output],
+                                     help="classify the base, one place, or all places up to a bound")
     p_classify.add_argument("--prime", type=int, default=None,
                             help="classify every place above this rational prime")
     p_classify.add_argument("--p-max", type=int, default=None,
                             help="scan all places of residue characteristic up to this bound")
 
-    p_decompose = commands.add_parser(
-        "decompose", help="squarefree/powerful split of (a^n - 1) and its level slice"
-    )
-    _add_common(p_decompose)
+    p_decompose = commands.add_parser("decompose", parents=[field, base, budget, output],
+                                      help="squarefree/powerful split of (a^n - 1) and its level slice")
     p_decompose.add_argument("-n", type=int, required=True, help="level n >= 1")
 
-    p_census = commands.add_parser(
-        "census", help="count non-Wieferich places with norm 1 mod k across levels"
-    )
-    _add_common(p_census)
+    p_census = commands.add_parser("census", parents=[field, base, budget, output],
+                                   help="count non-Wieferich places with norm 1 mod k across levels")
     p_census.add_argument("-k", type=int, default=1, help="progression modulus (default 1)")
     p_census.add_argument("--n-max", type=int, required=True, help="largest level multiplier")
     p_census.add_argument("--x-max", type=int, default=None,
@@ -93,23 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--strategy", choices=(STRATEGY_ALL_LEVELS, STRATEGY_PRIME_LEVELS),
                           default=STRATEGY_ALL_LEVELS)
 
-    p_verify = commands.add_parser(
-        "verify", help="run every exact inequality and identity check at one base"
-    )
-    _add_common(p_verify)
+    p_verify = commands.add_parser("verify", parents=[field, base, budget, output],
+                                   help="run every exact inequality and identity check at one base")
     p_verify.add_argument("--n-max", type=int, required=True)
 
-    p_exc = commands.add_parser(
-        "exceptions", help="enumerate all elements of norm <= 3 across fields"
-    )
+    p_exc = commands.add_parser("exceptions", parents=[output],
+                                help="enumerate all elements of norm <= 3 across fields")
     p_exc.add_argument("--d-max", type=int, required=True)
-    p_exc.add_argument("--format", choices=("json", "csv"), default="json")
-    p_exc.add_argument("--output", default=None)
 
-    p_quality = commands.add_parser(
-        "quality", help="quality statistic of a pair summing to a root of unity"
-    )
-    _add_common(p_quality, base_required=False)
+    p_quality = commands.add_parser("quality", parents=[field, budget, output],
+                                    help="quality statistic of a pair summing to a root of unity")
     p_quality.add_argument("--alpha", required=True, metavar="X[,Y]")
     p_quality.add_argument("--beta", required=True, metavar="X[,Y]")
 

@@ -1,16 +1,16 @@
 """Cyclotomic values at ring elements, arithmetic functions, level splitting.
 
-Phi_n(a) is evaluated through the Mobius product prod over d | n of
-(a^d - 1)**mu(n/d) with exact ring division, so no coefficient tables are
-needed at large n.  Zero and magnitude-one bases, where that product
-degenerates, are rejected.
+For a fixed base a, a^n - 1 = prod over d | n of Phi_d(a).  CycloFactorCache
+evaluates Phi_n(a) from that identity alone: a^n - 1 divided exactly by the
+values it already holds at the proper divisors of n, so neither coefficient
+tables nor Mobius signs are needed at large n.  Zero and magnitude-one bases,
+where some Phi_d(a) vanishes and the division above it fails, are rejected.
 
-For a fixed base a the identity (a^n - 1) = prod over d | n of (Phi_d(a))
-means every prime of (a^n - 1) lies in some divisor level, so a sweep over
-levels n factors each cyclotomic value once.  When every divisor level is
-complete, (a^n - 1) is the product of their ideals; otherwise the exact
-valuations of the rational primes certified at the divisor levels are read
-off a^n - 1.
+The same identity means every prime of (a^n - 1) lies in some divisor level,
+so a sweep over levels factors each cyclotomic value once.  When every
+divisor level is complete, (a^n - 1) is the product of their ideals;
+otherwise the exact valuations of the rational primes certified at the
+divisor levels are read off a^n - 1.
 
 Density counts of n with phi(n*k) > (2/3) * c(k) * n * k compare integers
 only: one table of 3 * phi(n) per x, and one byte row of verdicts per
@@ -135,21 +135,9 @@ def high_totient_count(x: int, k: int) -> int:
 
 
 def cyclotomic_eval(n: int, a: QuadInt) -> QuadInt:
-    """Phi_n(a) via the Mobius product over a^d - 1 with exact division."""
-    if a.is_zero or a.is_unit():
-        raise ValueError("base must be neither zero nor of magnitude one")
-    numerator = a.field.one()
-    denominator = a.field.one()
-    for d in divisors(n):
-        sign = mobius(n // d)
-        if sign == 0:
-            continue
-        factor = a**d - 1
-        if sign == 1:
-            numerator = numerator * factor
-        else:
-            denominator = denominator * factor
-    return numerator.exact_div(denominator)
+    """Phi_n(a), as CycloFactorCache(a).value(n): every divisor level of n is
+    evaluated on the way, and the cache is dropped on return."""
+    return CycloFactorCache(a).value(n)
 
 
 class CycloFactorCache:
@@ -174,9 +162,11 @@ class CycloFactorCache:
         self._decompositions: list[Decomposition] = []
 
     def value(self, n: int) -> QuadInt:
-        """Phi_n(a), evaluated once per cache."""
+        """Phi_n(a), evaluated once per cache: a^n - 1 divided exactly by the
+        product of value(d) over the proper divisors d of n."""
         if n not in self._values:
-            self._values[n] = cyclotomic_eval(n, self.a)
+            below = reduce(mul, map(self.value, divisors(n)[:-1]), self.a.field.one())
+            self._values[n] = (self.a**n - 1).exact_div(below)
         return self._values[n]
 
     def level(self, n: int) -> IdealFactorization:

@@ -547,8 +547,10 @@ def perfect_power(n: int, least_root: int = 2) -> tuple[int, int]:
 
     Only the k with least_root**k <= n are tried.  factorize passes
     trial_limit + 1, since its pieces have no prime factor up to the trial
-    limit; the default 2 finds every power.
+    limit; the default 2 finds every power.  least_root < 2 raises ValueError.
     """
+    if least_root < 2:
+        raise ValueError("least_root must be >= 2")
     if n < 4:
         return n, 1
     # least_root >= 2**(b - 1) with b its bit length, so this k bounds the answer

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .cyclo import CycloFactorCache, divisors, euler_phi, mobius
+from .cyclo import CycloFactorCache, divisors, euler_phi
 from .ideals import KIND_RAMIFIED, BudgetExhausted, _order_dividing, factor_principal, residue_pow
 from .intfactor import FactorBudget, padic_valuation, small_factors
 from .places import is_wieferich_place
@@ -116,23 +116,21 @@ def check_sandwich(b, n_max: int) -> BoundCheckReport:
     """-log 2 <= sum over d|n of mu(n/d) log(1 - b**-d) <= log 2, 2 <= n <= n_max.
 
     b is any exact rational >= 2 (integers welcome).  The sum is log P_n for
-    the rational P_n = prod over d|n of (1 - b**-d)**mu(n/d), built as
-    num/den from the factors (p**d - q**d)/p**d with b = p/q, so each level
-    is decided exactly by 1/2 <= P_n <= 2.
+    P_n = prod over d|n of (1 - b**-d)**mu(n/d), which equals
+    Psi_n(p, q) / p**phi(n) for b = p/q, where Psi_d(p, q) = q**phi(d) Phi_d(b)
+    and p**n - q**n = prod over d|n of Psi_d(p, q).  Psi_n(p, q) is p**n - q**n
+    divided by the Psi_d(p, q) already held for d < n, so each level is
+    decided exactly by 1/2 <= P_n <= 2.
     """
     b = Fraction(b)
     if b < 2:
         raise ValueError("sandwich bound needs b >= 2")
     p, q = b.numerator, b.denominator
     report = BoundCheckReport(tag="sandwich", parameters={"b": f"{p}/{q}", "n_max": n_max})
+    psi = {1: p - q}
     for n in range(2, n_max + 1):
-        num = den = 1
-        for d in divisors(n):
-            sign = mobius(n // d)
-            if sign == 1:
-                num, den = num * (p**d - q**d), den * p**d
-            elif sign == -1:
-                num, den = num * p**d, den * (p**d - q**d)
+        num = psi[n] = (p**n - q**n) // math.prod(map(psi.get, divisors(n)[:-1]))
+        den = p ** euler_phi(n)
         report.checked += 1
         if den <= 2 * num and num <= 2 * den:
             report.record_slack(min(math.log1p((2 * den - num) / num),

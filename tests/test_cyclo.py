@@ -23,6 +23,7 @@ from wieferich import (
     CycloFactorCache,
     FactorBudget,
     FieldSpec,
+    QuadInt,
     check_pairwise_coprime,
     check_squarefree_nonwieferich,
     cyclotomic_eval,
@@ -137,8 +138,9 @@ def horner(coefficients, a):
 class TestCyclotomicPolynomials:
     @pytest.mark.parametrize("n", list(range(1, 31)) + [36, 48, 60, 100, 105, 120])
     def test_matches_recursive_oracle(self, n):
-        # the Mobius product over x**d - 1 that cyclotomic_eval applies to
-        # ring elements, carried out on polynomials
+        # the Mobius product over x**d - 1 on polynomials: a second oracle,
+        # against the divisor recursion that oracle_cyclotomic and
+        # cyclotomic_eval both follow
         num, den = [1], [1]
         for d in range(1, n + 1):
             if n % d == 0 and naive_mobius(n // d):
@@ -164,15 +166,20 @@ class TestCyclotomicPolynomials:
         assert oracle_cyclotomic(6) == [1, -1, 1]
 
 
+# prime powers and levels with many divisors, where the most divisor levels
+# are read back from the cache
+HORNER_EXTRA_LEVELS = [64, 81, 105, 120, 128, 210]
+
+
 class TestEvaluation:
-    @pytest.mark.parametrize("n", range(1, 61))
+    @pytest.mark.parametrize("n", [*range(1, 61), *HORNER_EXTRA_LEVELS])
     def test_rational_eval_matches_horner(self, n):
         field = FieldSpec.rational()
         for base in (2, 3, 10, -2):
             a = field.element(base)
             assert cyclotomic_eval(n, a) == horner(oracle_cyclotomic(n), a)
 
-    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("n", [*range(1, 41), *HORNER_EXTRA_LEVELS])
     def test_quadratic_eval_matches_coeff_path(self, n, gauss_field, d2_field):
         for a in (gauss_field.element(2, 1), d2_field.element(1, 2)):
             assert cyclotomic_eval(n, a) == horner(oracle_cyclotomic(n), a)
@@ -185,9 +192,29 @@ class TestEvaluation:
                 prod = prod * cyclotomic_eval(d, a)
             assert prod == a**n - 1
 
+    def test_cache_fill_divides_once_per_level_without_mobius(self, gauss_field, monkeypatch):
+        # each level is a**n - 1 over the cached values at its proper divisors
+        calls = {"mobius": 0, "exact_div": 0}
+        real_mobius, real_exact_div = cyclo.mobius, QuadInt.exact_div
+
+        def counting_mobius(n):
+            calls["mobius"] += 1
+            return real_mobius(n)
+
+        def counting_exact_div(self, other):
+            calls["exact_div"] += 1
+            return real_exact_div(self, other)
+
+        monkeypatch.setattr(cyclo, "mobius", counting_mobius)
+        monkeypatch.setattr(QuadInt, "exact_div", counting_exact_div)
+        cache = CycloFactorCache(gauss_field.element(2, 1))
+        for n in range(1, 61):
+            cache.value(n)
+        assert calls == {"mobius": 0, "exact_div": 60}
+
     def test_root_of_unity_base(self, d3_field):
-        # omega is a primitive sixth root of unity: Phi_6(omega) = 0, and the
-        # Mobius product degenerates there, so the evaluation rejects it
+        # omega is a primitive sixth root of unity: Phi_6(omega) = 0, so every
+        # multiple of 6 above 6 would divide by zero; the evaluation rejects it
         omega = d3_field.element(0, 1)
         assert horner(oracle_cyclotomic(6), omega).is_zero
         with pytest.raises(ValueError, match="neither zero nor of magnitude one"):

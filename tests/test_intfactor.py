@@ -288,6 +288,12 @@ class TestHelpers:
         assert perfect_power(12) == (12, 1)
         assert perfect_power(2) == (2, 1)
 
+    @pytest.mark.parametrize("least_root", [1, 0, -5])
+    def test_perfect_power_refuses_least_root_below_two(self, least_root):
+        # 1 and 0 would divide by zero, and -5 would give (4, 3) for 64 = 2**6
+        with pytest.raises(ValueError, match="least_root must be >= 2"):
+            perfect_power(64, least_root)
+
     @given(st.integers(min_value=2, max_value=10**7), st.integers(min_value=1, max_value=12),
            st.integers(min_value=2, max_value=10**7))
     def test_least_root_finds_the_largest_index_whose_root_reaches_it(self, root, k, least_root):

@@ -23,10 +23,12 @@ from wieferich import (
     check_upper_norm_bound,
     cyclotomic_eval,
     decompose,
+    divisors,
     euler_phi,
     exception_set,
     exception_set_union,
     factorize,
+    mobius,
     primes_above,
     run_full_verification,
 )
@@ -36,6 +38,10 @@ from wieferich.verify import bound_trend_report
 
 
 SANDWICH_BASES = [2, 3, 10, Fraction(5, 2), Fraction(7, 3)]
+# the twenty b = 2 + 8i/19 of the acceptance sweep, the bases above, and a
+# fraction just above 2 with a larger numerator
+EXACT_SANDWICH_BASES = [*(2 + Fraction(8 * i, 19) for i in range(20)), *SANDWICH_BASES,
+                        Fraction(101, 50)]
 
 
 def brute_norm_le_3(d):
@@ -117,6 +123,22 @@ class TestBoundChecks:
                 slacks.append((1 + halves) * math.log(2) + rest)
             assert min(slacks) > 0
             assert math.isclose(check_sandwich(b, 60).min_slack, min(slacks), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("b", EXACT_SANDWICH_BASES, ids=str)
+    def test_sandwich_levels_equal_the_mobius_product(self, b, monkeypatch):
+        # check_sandwich divides ints, and int / int is correctly rounded, so
+        # at each level its two log1p arguments are exactly the floats of
+        # 2/P_n - 1 and 2*P_n - 1 for the Fraction product P_n of the definition
+        seen = []
+        log1p = math.log1p
+        monkeypatch.setattr(verify.math, "log1p", lambda x: seen.append(x) or log1p(x))
+        report = check_sandwich(b, 200)
+        expected = []
+        for n in range(2, 201):
+            product = math.prod((1 - 1 / Fraction(b) ** d) ** mobius(n // d) for d in divisors(n))
+            expected += [float(2 / product - 1), float(2 * product - 1)]
+        assert seen == expected
+        assert report.min_slack == min(map(log1p, expected))
 
     def test_pairwise_coprime(self, cache_2i):
         report = check_pairwise_coprime(cache_2i, 12)
