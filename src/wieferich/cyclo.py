@@ -13,8 +13,9 @@ otherwise the exact valuations of the rational primes certified at the
 divisor levels are read off a^n - 1.
 
 Density counts of n with phi(n*k) > (2/3) * c(k) * n * k compare integers
-only: one table of 3 * phi(n) per x, and one byte row of verdicts per
-g = gcd(n, k) shared by every k that has that g.
+only and build no totient table: one byte row of verdicts per x and
+g = gcd(n, k), shared by every k that has that g, in which the multiples of
+each minimal failing product of primes prime to g are struck.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import islice, repeat
-from math import gcd
-from operator import gt, mul
+from math import gcd, isqrt
+from operator import mul
 
 from . import workers
-from .intfactor import FactorBudget, small_factors
+from .intfactor import FactorBudget, _prime_stream, as_index, small_factors
 from .ideals import IdealFactorization, _exact_factorization, factor_principal
 from .qfield import QuadInt
 
@@ -60,6 +60,7 @@ def mobius(n: int) -> int:
 
 def totient_sieve(limit: int) -> list[int]:
     """phi(0..limit) with phi(0) = 0, by the standard multiplicative sieve."""
+    limit = as_index(limit, "limit")
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:
@@ -82,28 +83,62 @@ def totient_density_constant(k: int) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=1)
-def _three_phi_table(limit: int) -> tuple[list[int], dict[int, bytes]]:
-    """3 * phi(n) for n in 0..limit, and the mark rows built on it so far.
+def _failing_products(limit: int, g: int) -> list[int]:
+    """prod S <= limit for each prime set S, prime to g, that fails
+    3 * prod(p - 1) > 2 * prod(p) while S less its largest prime passes.
 
-    The list from one totient_sieve call is scaled in place, 4096 entries
-    at a time, so no second table of limit + 1 ints is ever held.  The table
-    and its rows (see _mark_row) are kept for the last limit only.
+    A depth-first walk over sets in increasing order of their primes.  A set
+    passing with num = prod(p - 1), den = prod(p) fails with one larger prime
+    q exactly when q * (3 * num - 2 * den) <= 3 * num, so its failing last
+    primes are the smallest ones and the walk goes on from the rest, while
+    den * q * (q + 1) <= limit leaves room for another prime.  Primes come from
+    intfactor._prime_stream: up to isqrt(limit) for the walk, and further only
+    when a failing last prime needs them.
     """
-    three_phi = totient_sieve(limit)
-    for start in range(0, limit + 1, 4096):
-        three_phi[start : start + 4096] = map(mul, three_phi[start : start + 4096], repeat(3))
-    return three_phi, {}
+    sieved = isqrt(limit)
+    primes = list(_prime_stream(sieved))
+    products: list[int] = []
+
+    def walk(num: int, den: int, start: int) -> None:
+        nonlocal sieved
+        fail_top = min(3 * num // (3 * num - 2 * den), limit // den)
+        if fail_top > sieved:
+            primes.extend(_prime_stream(fail_top, start=sieved + 1))
+            sieved = fail_top
+        for i in range(start, len(primes)):
+            q = primes[i]
+            if den * q > limit or (q > fail_top and den * q * (q + 1) > limit):
+                return
+            if g % q == 0:
+                continue
+            if q <= fail_top:
+                products.append(den * q)
+            else:
+                walk(num * (q - 1), den * q, i + 1)
+
+    walk(1, 1, 0)
+    return products
 
 
-def _mark_row(three_phi: list[int], g: int) -> bytes:
-    """g's mark row: byte m - 1 is 1 when n = g*m has 3 * phi(n) > 2 * phi(g) * m,
-    else 0, for every multiple n of g in the table."""
-    two_phi_g = 2 * three_phi[g] // 3
-    # islice copies no part of the table (three_phi[1::1] would be a second
-    # list of limit pointers at peak); map stops with it, at m = limit // g
-    multiples = islice(three_phi, g, None, g)
-    return bytes(map(gt, multiples, range(two_phi_g, two_phi_g * len(three_phi), two_phi_g)))
+def _verdict_row(x: int, g: int) -> bytes:
+    """g's verdict row at x: byte m - 1 is 1 when n = g*m has 3 * g * phi(n) >
+    2 * phi(g) * n, else 0, for m = 1..x // g.
+
+    n passes exactly when its primes prime to g pass as a set (see
+    high_totient_count), so the row starts as all ones and one slice
+    assignment zeroes the multiples of each of _failing_products(x // g, g).
+    """
+    limit = x // g
+    row = bytearray(b"\x01") * limit
+    for product in _failing_products(limit, g):
+        row[product - 1 :: product] = bytes(limit // product)
+    return bytes(row)
+
+
+@lru_cache(maxsize=1)
+def _verdict_rows(x: int) -> dict[int, bytes]:
+    """The verdict rows built so far at x, by g; kept for the last x only."""
+    return {}
 
 
 def high_totient_count(x: int, k: int) -> int:
@@ -112,24 +147,28 @@ def high_totient_count(x: int, k: int) -> int:
     c(k) is totient_density_constant(k), which equals phi(k)/k.  With
     g = gcd(n, k), phi(n*k) = phi(n) * phi(k) * g / phi(g), so the condition
     reads 3 * g * phi(n) > 2 * phi(g) * n, and k enters only through g.
-    Writing n = g*m, that is 3 * phi(n) > 2 * phi(g) * m, which _mark_row
-    decides once for every multiple of g up to x, on integers.  Every
-    n = r (mod k) has gcd(n, k) = gcd(r, k), so residue class r in
-    1..min(k, x) is the slice of g's row from m = r/g in steps of k/g.
+    Writing n = g*m, phi(n)/n = (phi(g)/g) * prod over the set T of primes of
+    m prime to g of (1 - 1/p), so n passes exactly when
+    3 * prod_T (p - 1) > 2 * prod_T p.  Adding a prime never makes a failing
+    set pass, so n fails exactly when m is a multiple of the product of a
+    failing set that passes without its largest prime: _verdict_row strikes
+    those multiples, on integers, with no totient table.  Every n = r (mod k) has
+    gcd(n, k) = gcd(r, k), so residue class r in 1..min(k, x) is the slice of
+    g's row from m = r/g in steps of k/g.
 
-    The table of 3 * phi(n) and its rows are built once per x and kept for
-    the last x only, so calls for many k at one x sieve once and build each
-    g's row once; for k = 1..10 at x = 30000 the rows hold about 2.9 * x
-    bytes next to the x + 1 ints of the table.
+    The rows are kept for the last x only, so calls for many k at one x build
+    each g's row once; for k = 1..10 at x = 30000 they hold about 2.9 * x
+    bytes.
     """
+    x, k = as_index(x, "x"), as_index(k, "k")
     if x < 1 or k < 1:
         raise ValueError("both arguments must be >= 1")
-    three_phi, rows = _three_phi_table(x)
+    rows = _verdict_rows(x)
     count = 0
     for r in range(1, min(k, x) + 1):
         g = gcd(r, k)
         if g not in rows:
-            rows[g] = _mark_row(three_phi, g)
+            rows[g] = _verdict_row(x, g)
         count += rows[g][r // g - 1 :: k // g].count(1)
     return count
 

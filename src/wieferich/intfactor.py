@@ -40,6 +40,7 @@ cofactor and is flagged incomplete instead of silently pretending.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from array import array
 from bisect import bisect_right
@@ -186,8 +187,18 @@ def _prime_blocks(limit: int) -> tuple[int, ...]:
     )
 
 
+def as_index(value: int, name: str) -> int:
+    """value as an int by operator.index (so a bool reads as 0 or 1), or a
+    TypeError that names the argument: a float or Fraction is never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
+
+
 def small_factors(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a small n >= 1 by plain trial division."""
+    n = as_index(n, "n")
     if n < 1:
         raise ValueError("small_factors of positive integers only")
     factors: dict[int, int] = {}

@@ -10,8 +10,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from wieferich import (
     mobius,
     totient_density_constant,
 )
+from wieferich.intfactor import small_factors
 from wieferich.verify import bound_trend_report
 
 
@@ -125,6 +128,30 @@ class TestDivisorLattice:
     @given(st.integers(1, 500))
     def test_phi_sum_identity(self, n):
         assert sum(euler_phi(d) for d in divisors(n)) == n
+
+    @pytest.mark.parametrize("value", [10.5, 10.0, Fraction(21, 2), Decimal(10), "10"])
+    def test_non_integers_are_rejected(self, value):
+        # a str fails the helpers' own "< 1" check first, with a plain TypeError
+        message = None if isinstance(value, str) else "n must be an integer"
+        for helper in (divisors, euler_phi, mobius, totient_density_constant):
+            with pytest.raises(TypeError, match=message):
+                helper(value)
+        with pytest.raises(TypeError, match="limit must be an integer"):
+            cyclo.totient_sieve(value)
+        with pytest.raises(TypeError, match="x must be an integer"):
+            high_totient_count(value, 1)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            high_totient_count(10, value)
+
+    def test_bools_read_as_integers(self):
+        assert divisors(True) == [1]
+        assert euler_phi(True) == mobius(True) == 1
+        assert cyclo.totient_sieve(True) == [0, 1]
+        assert cyclo.totient_sieve(False) == [0]
+        assert totient_density_constant(True) == 1
+        assert high_totient_count(True, True) == 1
+        with pytest.raises(ValueError):
+            high_totient_count(False, 1)
 
 
 def horner(coefficients, a):
@@ -283,31 +310,40 @@ class TestTotientDensity:
         phi[:] = [0] * len(phi)
         assert [high_totient_count(500, k) for k in (1, 6)] == expected
 
-    # 3**9 is a tie at k = 1; the 3 * phi table is scaled 4096 entries at a time
-    @pytest.mark.parametrize("x", [3**8, 3**9 - 1, 3**9, 10**4, 3 * 10**4])
+    # 3**9 is a tie at k = 1; 99991 is prime
+    @pytest.mark.parametrize("x", [3**8, 3**9 - 1, 3**9, 10**4, 3 * 10**4, 99991, 10**5])
     def test_counts_match_the_integer_comparison(self, x):
         for k in [*range(1, 31), 60, 210, 2310]:
             assert high_totient_count(x, k) == integer_count(x, k), k
 
-    # the 3 * phi table is scaled 4096 entries at a time
-    @pytest.mark.parametrize("x", [1, 4095, 4096, 4097, 3 * 10**4])
-    def test_each_mark_row_is_built_once(self, x, monkeypatch):
-        cyclo._three_phi_table.cache_clear()
+    def test_counts_match_one_sieve_for_every_small_x(self):
+        # the struck rows change whenever x // g crosses a failing product
+        phi = cyclo.totient_sieve(400)
+        for k in range(1, 13):
+            expected = 0
+            for x in range(1, 401):
+                g = gcd(x, k)
+                expected += 3 * g * phi[x] > 2 * phi[g] * x
+                assert high_totient_count(x, k) == expected, (x, k)
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 35, 385, 4096, 3 * 10**4])
+    def test_each_verdict_row_is_built_once(self, x, monkeypatch):
+        cyclo._verdict_rows.cache_clear()
         built = []
-        real = cyclo._mark_row
+        real = cyclo._verdict_row
 
-        def spy(three_phi, g):
-            built.append((len(three_phi) - 1, g))
-            return real(three_phi, g)
+        def spy(x, g):
+            built.append((x, g))
+            return real(x, g)
 
-        monkeypatch.setattr(cyclo, "_mark_row", spy)
+        monkeypatch.setattr(cyclo, "_verdict_row", spy)
         for k in range(1, 11):
             high_totient_count(x, k)
         gs = {gcd(r, k) for k in range(1, 11) for r in range(1, min(k, x) + 1)}
         assert sorted(built) == [(x, g) for g in sorted(gs)]
-        three_phi, rows = cyclo._three_phi_table(x)
+        rows = cyclo._verdict_rows(x)
+        assert sorted(rows) == sorted(gs)
         phi = cyclo.totient_sieve(x)
-        assert three_phi == [3 * value for value in phi]
         for g in gs:
             assert list(rows[g]) == [
                 int(3 * g * phi[n] > 2 * phi[g] * n) for n in range(g, x + 1, g)
@@ -324,11 +360,40 @@ class TestTotientDensity:
         phi = cyclo.totient_sieve(x)
         for k, expected in ties.items():
             count = high_totient_count(x, k)
-            _, rows = cyclo._three_phi_table(x)
+            rows = cyclo._verdict_rows(x)
             equal = {n for n in range(1, x + 1) if Fraction(phi[n], n) == class_threshold(n, k)}
             assert equal == expected
             assert not any(rows[gcd(n, k)][n // gcd(n, k) - 1] for n in equal)
             assert count == integer_count(x, k)
+
+    @staticmethod
+    def set_fails(primes):
+        return 3 * prod(p - 1 for p in primes) <= 2 * prod(primes)
+
+    @pytest.mark.parametrize("g", [*range(1, 13), 30, 210, 2310])
+    def test_walk_strikes_exactly_the_failing_sets(self, g):
+        limit = 5000 // g
+        products = cyclo._failing_products(limit, g)
+        assert len(products) == len(set(products))
+        for product in products:
+            primes = sorted(small_factors(product))
+            assert prod(primes) == product <= limit and gcd(product, g) == 1
+            assert self.set_fails(primes) and not self.set_fails(primes[:-1]), product
+        for m in range(1, limit + 1):
+            factors = small_factors(m)
+            if gcd(m, g) == 1 and all(e == 1 for e in factors.values()):
+                struck = any(m % product == 0 for product in products)
+                assert struck == self.set_fails(factors), m
+        # a smaller x keeps exactly the products that still fit
+        for smaller in [*range(1, 120), limit // 3, limit // 2, limit - 1]:
+            expected = sorted(p for p in products if p <= smaller)
+            assert sorted(cyclo._failing_products(smaller, g)) == expected, smaller
+
+    def test_failing_products_at_30000(self):
+        assert sorted(cyclo._failing_products(30000, 1)) == [
+            2, 3, 385, 455, 595, 665, 805, 1015, 1085, 12155, 13585, 16445, 17765,
+            20735, 20995, 21505, 22165, 24035, 25415, 26455, 27115, 28985, 29315,
+        ]
 
     def test_reduction_matches_the_definition(self):
         # the rows compare phi(n)/n with 2 * phi(g) / (3 * g); the definition's
@@ -354,8 +419,8 @@ class TestTotientDensity:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [high_totient_count(3**9, k) for k in range(1, 11)]
 
-    def test_one_sieve_per_x(self, monkeypatch):
-        high_totient_count(1, 1)  # leave no table for x = 3000 behind
+    def test_no_totient_sieve_is_run(self, monkeypatch):
+        high_totient_count(1, 1)  # leave no rows for x = 3000 behind
         calls = []
         real = cyclo.totient_sieve
 
@@ -364,11 +429,25 @@ class TestTotientDensity:
             return real(limit)
 
         monkeypatch.setattr(cyclo, "totient_sieve", spy)
-        for k in range(1, 11):
-            high_totient_count(3000, k)
-        assert calls == [3000]
+        counts = [high_totient_count(3000, k) for k in range(1, 11)]
         high_totient_count(2999, 1)
-        assert calls == [3000, 2999]
+        assert calls == []
+        assert counts == [integer_count(3000, k) for k in range(1, 11)]
+
+    def test_counts_at_a_million_stay_in_small_memory(self):
+        # the rows for g = 1..10 hold about 2.9 * 10**6 bytes; a totient table
+        # of 10**6 + 1 ints peaked at about 41 MiB
+        cyclo._verdict_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = [high_totient_count(10**6, k) for k in range(1, 11)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            cyclo._verdict_rows.cache_clear()
+        assert peak < 8 * 2**20, peak
+        # the count the totient sieve gives at k = 1
+        assert counts[0] == 329493
 
 
 class TestCacheAndDecompose:

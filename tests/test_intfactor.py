@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal, getcontext
+from fractions import Fraction
 from itertools import combinations, compress, pairwise
 from math import isqrt
 from pathlib import Path
@@ -278,6 +279,13 @@ class TestHelpers:
     def test_small_factors_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             small_factors(0)
+
+    def test_small_factors_rejects_non_integers(self):
+        # a float used to be trial-divided: 10.5 gave {10.5: 1}
+        for value in (10.5, 10.0, Fraction(21, 2), "10"):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                small_factors(value)
+        assert small_factors(True) == {}
 
     def test_perfect_power(self):
         assert perfect_power(1024) == (2, 10)
