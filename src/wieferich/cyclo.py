@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 
 from . import workers
@@ -34,8 +34,6 @@ from .qfield import QuadInt
 
 
 def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("divisors of positive integers only")
     out = [1]
     for p, e in small_factors(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
@@ -43,17 +41,10 @@ def divisors(n: int) -> list[int]:
 
 
 def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("totient of positive integers only")
-    out = n
-    for p in small_factors(n):
-        out -= out // p
-    return out
+    return prod((p - 1) * p ** (e - 1) for p, e in small_factors(n).items())
 
 
 def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius of positive integers only")
     factors = small_factors(n)
     return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
 
@@ -75,8 +66,6 @@ def totient_density_constant(k: int) -> Fraction:
     Since gcd(k, p) = p for p | k each factor is 1 - 1/p, so the product
     equals phi(k)/k; the literal product form is kept as the definition.
     """
-    if k < 1:
-        raise ValueError("constant defined for positive moduli")
     value = Fraction(1)
     for p in small_factors(k):
         value *= 1 - Fraction(gcd(k, p), p * p)
@@ -186,9 +175,8 @@ class CycloFactorCache:
     each.  level(n) and factor_levels are the readers of cache.budget: level
     readers that share a sweep take the cache, so a base and the budget its
     levels are factored under cannot disagree.  factor_levels(levels)
-    factors many levels at once on the process's CPUs, ahead of level(n),
-    which then returns each finished level, or raises the exception its
-    factorization raised: every result is the one level(n) alone gives."""
+    runs level(n) for many levels at once in forked workers, ahead of the
+    sweep: every result is the one level(n) alone gives."""
 
     def __init__(self, a: QuadInt, budget: FactorBudget | None = None):
         if a.is_zero or a.is_unit():
@@ -196,8 +184,7 @@ class CycloFactorCache:
         self.a = a
         self.budget = budget or FactorBudget()
         self._values: dict[int, QuadInt] = {}
-        # a worker's exception stays here until level(n) raises it
-        self._levels: dict[int, IdealFactorization | Exception] = {}
+        self._levels: dict[int, IdealFactorization] = {}
         self._decompositions: list[Decomposition] = []
 
     def value(self, n: int) -> QuadInt:
@@ -209,41 +196,30 @@ class CycloFactorCache:
         return self._values[n]
 
     def level(self, n: int) -> IdealFactorization:
-        """The ideal factorization of Phi_n(a) under cache.budget, factored once per cache."""
-        if isinstance(self._levels.get(n), Exception):
-            raise self._levels.pop(n)
+        """The ideal factorization of Phi_n(a) under cache.budget, factored once
+        per cache, here or in a worker of factor_levels."""
         if n not in self._levels:
             self._levels[n] = factor_principal(self.value(n), self.budget)
         return self._levels[n]
 
     def factor_levels(self, levels: Iterable[int]) -> None:
-        """Factor the given levels and their divisor levels now, in forked
-        workers on every usable CPU.
+        """Factor the given levels and their divisor levels now, in forked workers.
 
-        The parent evaluates each Phi_d(a).  Through workers.fork_map, one
-        worker per usable CPU, and at most one per norm above trial_limit**2
-        (which trial division alone cannot finish), takes the levels largest
-        norm first (Graham's longest-processing-time rule), each as soon as it
-        is free, and returns factor_principal's finished level; all have
-        exited when this returns.  level(d) then gives exactly what it gives
-        without this call, exceptions included, and factors in-process any
-        level whose worker died.  With one usable CPU (see
-        workers.usable_cpus) or fewer than two such norms, nothing happens
-        here.
+        The parent evaluates each Phi_d(a).  workers.fork_map runs level(d)
+        over them largest norm first (Graham's longest-processing-time rule),
+        each level as soon as a worker is free, with at most one worker per
+        norm above trial_limit**2 (which trial division alone cannot finish),
+        and the levels the workers finished are kept.  Any other level,
+        whether its job raised, its worker died or nothing forked, is left to
+        level(d) in-process, so every level and every exception is the one
+        level(d) gives without this call.
         """
-        cpus = workers.usable_cpus()
-        if cpus < 2:
-            return
         closure = {d for n in levels for d in divisors(n)} - self._levels.keys()
         norms = {d: self.value(d).abs_norm() for d in closure}
         large = sum(nm > self.budget.trial_limit**2 for nm in norms.values())
-        if large < 2:
-            return
         order = sorted(norms, key=norms.get, reverse=True)
-        done = workers.fork_map(factor_principal, [(self.value(d), self.budget) for d in order],
-                                min(cpus, large))
-        # a level no worker finished is left to level(d)
-        self._levels.update((order[i], result) for i, result in done.items())
+        done = workers.fork_map(self.level, [(d,) for d in order], large)
+        self._levels.update((order[i], level) for i, level in done.items())
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""

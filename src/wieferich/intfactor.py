@@ -200,7 +200,7 @@ def small_factors(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a small n >= 1 by plain trial division."""
     n = as_index(n, "n")
     if n < 1:
-        raise ValueError("small_factors of positive integers only")
+        raise ValueError("n must be a positive integer")
     factors: dict[int, int] = {}
     f = 2
     while f * f <= n:

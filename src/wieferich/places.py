@@ -9,9 +9,9 @@ Theory 30, 1988).  It counts such places whose norms fall in a fixed residue
 class, with every claimed property re-checked at emission time.
 
 The Wieferich scan makes one pass over a segmented sieve, so its memory stays
-flat as the bound grows; on two or more usable CPUs a long scan hands its
-segments to forked workers (workers.fork_map), as the census does with its
-levels, and joins their hits in order.  An odd p prime to the discriminant D
+flat as the bound grows; a long scan hands its segments to workers.fork_map,
+as the census does with its levels, scans in-process any segment no worker
+finished and joins their hits in order.  An odd p prime to the discriminant D
 splits or stays inert as (D/p) is 1 or -1, a character mod |D| since D is
 fundamental, so each segment makes one Euler test per class of p mod |D|.
 A split p, p = 2 and p | D are sorted by the roots of the generator's
@@ -196,9 +196,9 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     with norm 1 mod k on the way out.
 
     Before the sweep, cache.factor_levels factors the levels k*m and their
-    divisor levels on every CPU in the affinity mask; its workers return
-    finished levels and are shut down before the sweep starts.  The result
-    is the one-CPU result, byte for byte.
+    divisor levels in forked workers, which have exited before the sweep
+    starts; the sweep factors in-process any level they did not finish.  The
+    result, failures included, is the one-CPU result, byte for byte.
     """
     bucket = classify_base(a)
     if bucket not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
@@ -331,10 +331,11 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
     _wieferich_kernel decides every place, one sieve segment at a time, and
     only the hits get a report, whose verdict comes from is_wieferich_place.
 
-    With two usable CPUs (see workers.usable_cpus) and a bound that spans two
-    whole segments, the segments are jobs for workers.fork_map; the parent
-    joins the hits and counts in segment order and scans in-process any
-    segment whose worker died.  The result is the same either way.
+    When the bound spans two whole segments, the segments are jobs for
+    workers.fork_map, at most one worker each.  The parent joins the hits
+    and counts in segment order, and scans in-process any segment no worker
+    finished: its job raised, its worker died or nothing forked.  The result
+    is the same either way.
     """
     if p_bound < 2:
         raise ValueError("p_max must be >= 2")
@@ -342,12 +343,8 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
     # each stream is sieved where it is consumed: in a worker, or here
     jobs = [(a, _prime_stream(min(lo + width - 1, p_bound), start=lo))
             for lo in range(1, p_bound + 1, width)]
-    cpus = workers.usable_cpus()
-    done = {}
-    if cpus > 1 and p_bound >= 2 * width:
-        done = workers.fork_map(_wieferich_kernel, jobs, min(cpus, len(jobs)))
-    parts = [done[i] if isinstance(done.get(i), tuple) else _wieferich_kernel(*job)
-             for i, job in enumerate(jobs)]
+    done = workers.fork_map(_wieferich_kernel, jobs, len(jobs) if p_bound >= 2 * width else 0)
+    parts = [done[i] if i in done else _wieferich_kernel(*job) for i, job in enumerate(jobs)]
     found = [P for hits, _ in parts for P in hits]
     tested = sum(count for _, count in parts)
     hits = [place_report(P, a, budget) for P in found]

@@ -452,7 +452,7 @@ def run_full_verification(a: QuadInt, n_max: int,
     result.reports.append(check_upper_norm_bound(a, n_max))
     if bucket is BaseClass.ELIGIBLE:
         result.reports.append(check_cyclotomic_norm_lower_bound(cache, n_max))
-    result.reports.append(check_sandwich(max(2, a.abs_norm()), n_max))
+    result.reports.append(check_sandwich(a.abs_norm(), n_max))
     result.reports.append(check_pairwise_coprime(cache, n_max))
     result.reports.append(check_squarefree_nonwieferich(cache, n_max))
     result.reports.append(check_order_consistency_range(cache, n_max))

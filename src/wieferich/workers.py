@@ -7,6 +7,10 @@ forked or not.  The workers inherit fn and the jobs through the fork, so only
 a job's index goes to a worker and only its pickled result comes back.
 pickle, select and signal are imported on the first fork, so a run that
 never forks does not load them.
+
+This module alone decides whether and how wide to fork: a caller names a
+cap, and runs in-process every job missing from the result, so the result
+of the whole is the one-process result whatever the workers did.
 """
 
 from __future__ import annotations
@@ -33,16 +37,21 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> dict[int, object]:
-    """{i: fn(*jobs[i]), or the exception it raised}, from forked workers.
+def fork_map(fn: Callable, jobs: Sequence[tuple], most: int) -> dict[int, object]:
+    """{i: fn(*jobs[i])} for the jobs that forked workers finished.
 
+    min(most, usable_cpus(), len(jobs)) workers start, and none below two.
     Jobs go out in the given order, each to whichever worker is free.  A job
-    whose worker died, or that no worker reached, is left out, and the caller
-    runs it in-process: when no worker can start, the result is empty.  Each
-    worker ignores SIGINT, which the parent handles, and exits soon after the
-    parent dies.  On any exception in the parent the workers are killed, and
-    all have exited when this returns.
+    that raises ends its worker, as a job whose worker dies does; both are
+    left out, as is a job no worker reached, and the caller runs them
+    in-process: when no worker starts, the result is empty.  Each worker
+    ignores SIGINT, which the parent handles, and exits soon after the parent
+    dies.  On any exception in the parent the workers are killed, and all
+    have exited when this returns.
     """
+    count = min(most, usable_cpus(), len(jobs))
+    if count < 2:
+        return {}
     import signal
 
     # no worker may replay output still buffered in the parent
@@ -51,7 +60,7 @@ def fork_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> dict[int, obj
     parent = os.getpid()
     started: list[tuple[int, int, BinaryIO]] = []  # (pid, task write end, replies)
     try:
-        for _ in range(min(workers, len(jobs))):
+        for _ in range(count):
             # a SIGINT waits until the worker ignores it and is on the list to kill
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
@@ -133,14 +142,11 @@ def _start_worker(fn: Callable, jobs: Sequence[tuple], parent: int,
         threading.Thread(target=_watch, args=(parent,), daemon=True).start()
         tasks, replies = os.fdopen(task_read, "rb"), os.fdopen(reply_write, "wb")
         while len(task := tasks.read(_INDEX.size)) == _INDEX.size:
-            try:
-                result = fn(*jobs[_INDEX.unpack(task)[0]])
-            except Exception as error:
-                result = error
-            pickle.dump(result, replies)
+            pickle.dump(fn(*jobs[_INDEX.unpack(task)[0]]), replies)
             replies.flush()
         code = 0
     finally:
+        # a job that raised ends here too, and the parent sees a dead worker
         os._exit(code)
 
 

@@ -129,12 +129,10 @@ class TestDivisorLattice:
     def test_phi_sum_identity(self, n):
         assert sum(euler_phi(d) for d in divisors(n)) == n
 
-    @pytest.mark.parametrize("value", [10.5, 10.0, Fraction(21, 2), Decimal(10), "10"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, 0.5, Fraction(21, 2), Decimal(10), "10"])
     def test_non_integers_are_rejected(self, value):
-        # a str fails the helpers' own "< 1" check first, with a plain TypeError
-        message = None if isinstance(value, str) else "n must be an integer"
         for helper in (divisors, euler_phi, mobius, totient_density_constant):
-            with pytest.raises(TypeError, match=message):
+            with pytest.raises(TypeError, match="n must be an integer"):
                 helper(value)
         with pytest.raises(TypeError, match="limit must be an integer"):
             cyclo.totient_sieve(value)
@@ -143,9 +141,16 @@ class TestDivisorLattice:
         with pytest.raises(TypeError, match="k must be an integer"):
             high_totient_count(10, value)
 
+    @pytest.mark.parametrize("value", [0, -1, -12, False])
+    def test_non_positive_values_are_rejected(self, value):
+        for helper in (divisors, euler_phi, mobius, totient_density_constant):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                helper(value)
+
     def test_bools_read_as_integers(self):
         assert divisors(True) == [1]
         assert euler_phi(True) == mobius(True) == 1
+        assert type(euler_phi(True)) is int
         assert cyclo.totient_sieve(True) == [0, 1]
         assert cyclo.totient_sieve(False) == [0]
         assert totient_density_constant(True) == 1
@@ -619,6 +624,25 @@ class TestInvariants:
             tree = ast.parse(path.read_text(), filename=str(path))
             asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert not asserts, (path.name, asserts)
+
+    def test_only_workers_forks_or_counts_cpus(self):
+        """Whether to fork, and how wide, is decided in workers.py alone."""
+        package = Path(cyclo.__file__).parent
+        decision = {"fork", "usable_cpus"}
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.asname or node.name)
+            if path.name == "workers.py":
+                assert names >= decision
+            else:
+                assert not names & decision, path.name
 
     def test_public_names_resolve_once(self):
         names = wieferich.__all__

@@ -31,10 +31,10 @@ SCAN_TARGET = 100003
 # Runs cli.main(argv), pinned first to the lowest CPU of the mask when asked.
 # A planted failure hits the factorization of one level's norm of 2 + i: it
 # raises BudgetExhausted or InvariantViolation, or kills the worker running
-# it; or it kills the worker that scans the segment holding SCAN_TARGET.  It
-# notes in which process it struck.  One line on stdout precedes the run.
-# The last stderr line reports the exit code, whether the run forked and
-# which pool modules it loaded.
+# it; or, in a worker only, it kills or raises in the scan of the segment
+# holding SCAN_TARGET.  It notes in which process it struck.  One line on
+# stdout precedes the run.  The last stderr line reports the exit code,
+# whether the run forked and which pool modules it loaded.
 SCRIPT = """
 import json, os, sys
 pin, plant, argv = json.loads(sys.argv[1])
@@ -49,12 +49,14 @@ def note(notes):
         handle.write("worker\\n" if os.getpid() != parent else "parent\\n")
     return os.getpid() != parent
 if plant and plant[0] == "scan":
-    _, target, notes = plant
+    _, kind, target, notes = plant
     kernel = places._wieferich_kernel
     def planted(a, primes):
         primes = list(primes)
         if target in primes and note(notes):
-            os._exit(1)
+            if kind == "die":
+                os._exit(1)
+            raise RuntimeError("planted failure in a scan worker")
         return kernel(a, primes)
     places._wieferich_kernel = planted
 elif plant:
@@ -134,12 +136,14 @@ def test_scan_bytes_match_a_run_pinned_to_one_cpu(d):
     ("invariant", cli.EXIT_VIOLATION, "invariant violation: planted failure at level 29"),
 ])
 def test_worker_exception_gives_the_serial_exit_code_and_message(tmp_path, kind, code, message):
+    """The raising job ends its worker, and the parent factors the level
+    again and raises the same exception."""
     runs = {}
     for pin in (True, False):
         notes = tmp_path / f"notes-{pin}"
         runs[pin] = run_cli(CENSUS_80, pin, [kind, 29, str(notes)]), notes.read_text()
     (pinned, pinned_notes), (free, free_notes) = runs[True], runs[False]
-    assert (pinned_notes, free_notes) == ("parent\n", "worker\n")
+    assert (pinned_notes, free_notes) == ("parent\n", "worker\nparent\n")
     assert pinned == (b"output follows\n", [message], outcome(code, False))
     assert free == (b"output follows\n", [message], outcome(code, True))
 
@@ -153,19 +157,32 @@ def test_levels_of_a_dead_worker_are_factored_in_process(tmp_path):
     assert free == run_cli(CENSUS_80, pin=True)[:2] + (outcome(0, True),)
 
 
-@needs_two_cpus
-@pytest.mark.parametrize("d", sorted(SCANS))
-def test_segments_of_a_dead_worker_are_rescanned_in_process(tmp_path, d):
-    """A worker killed mid-segment leaves that segment to the parent, which
-    prints the one-CPU bytes; pinned, the parent scans every segment itself."""
+def assert_segment_rescanned(tmp_path, d, kind):
+    """With a planted kind of failure in the worker that scans SCAN_TARGET's
+    segment, the parent scans that segment again and prints the one-CPU
+    bytes; pinned, the parent scans every segment itself."""
     runs = {}
     for pin in (True, False):
         notes = tmp_path / f"notes-{pin}"
-        runs[pin] = run_cli(SCANS[d], pin, ["scan", SCAN_TARGET, str(notes)]), notes.read_text()
+        runs[pin] = run_cli(SCANS[d], pin, ["scan", kind, SCAN_TARGET, str(notes)]), notes.read_text()
     (pinned, pinned_notes), (free, free_notes) = runs[True], runs[False]
     assert (pinned_notes, free_notes) == ("parent\n", "worker\nparent\n")
     assert pinned == run_cli(SCANS[d], pin=True)
     assert free == pinned[:2] + (outcome(0, True),)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("d", sorted(SCANS))
+def test_segments_of_a_dead_worker_are_rescanned_in_process(tmp_path, d):
+    assert_segment_rescanned(tmp_path, d, "die")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("d", sorted(SCANS))
+def test_segments_whose_job_raised_are_rescanned_in_process(tmp_path, d):
+    """A raise takes the path of a dead worker, as it does in a census: no
+    traceback, and the segment is scanned again in the parent."""
+    assert_segment_rescanned(tmp_path, d, "raise")
 
 
 CENSUS_K2 = ["census", "-d", "1", "-a", "2,1", "-k", "2", "--n-max", "20"]
@@ -175,18 +192,39 @@ SCAN_200K = SCANS[1]
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """(fn, jobs, workers) of every fork_map a run starts, on a stand-in two-CPU mask."""
+def two_cpus(monkeypatch):
+    """A stand-in two-CPU affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch, two_cpus):
+    """(fn, jobs, most) of every fork_map a run calls, on a stand-in two-CPU mask."""
     started = []
     fork_map = workers.fork_map
 
-    def recorded(fn, jobs, count):
-        started.append((fn, list(jobs), count))
-        return fork_map(fn, jobs, count)
+    def recorded(fn, jobs, most):
+        started.append((fn, list(jobs), most))
+        return fork_map(fn, jobs, most)
 
     monkeypatch.setattr(workers, "fork_map", recorded)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return started
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker a run forks, as its parent saw it."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
 
 
 def serial_run(monkeypatch, capsys, argv):
@@ -198,21 +236,24 @@ def serial_run(monkeypatch, capsys, argv):
 
 @needs_fork
 @pytest.mark.parametrize("argv", [CENSUS_K2, SCAN_200K], ids=["census", "scan"])
-def test_pool_that_cannot_start_leaves_factoring_in_process(pools, monkeypatch, capsys, argv):
+def test_pool_that_cannot_start_leaves_factoring_in_process(two_cpus, monkeypatch, capsys, argv):
     serial = serial_run(monkeypatch, capsys, argv)
+    tried = []
 
     def unstartable():
+        tried.append(1)
         raise OSError("no process can be started")
 
     monkeypatch.setattr(os, "fork", unstartable)
     assert cli.main(argv) == 0
     assert capsys.readouterr() == serial
-    assert len(pools) == 1
+    # the first worker failed to start, and fork_map tried no other
+    assert len(tried) == 1
 
 
 @needs_fork
 @pytest.mark.parametrize("argv", [CENSUS_K2, SCAN_200K], ids=["census", "scan"])
-def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys, argv):
+def test_no_fork_while_another_thread_runs(two_cpus, forks, monkeypatch, capsys, argv):
     """A fork copies the locks other threads hold, so the run stays in one process."""
     import threading
 
@@ -227,16 +268,16 @@ def test_no_fork_while_another_thread_runs(pools, monkeypatch, capsys, argv):
         other.join(timeout=10)
     assert not other.is_alive()
     assert capsys.readouterr() == serial
-    assert pools == []
+    assert forks == []
     assert cli.main(argv) == 0
     assert capsys.readouterr() == serial
-    assert len(pools) == 1
+    assert len(forks) == 2
 
 
 @needs_two_cpus
 @needs_fork
-def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch):
-    """factor_levels hands the workers the same factor_principal call level(d) makes."""
+def test_workers_return_each_divisor_level_largest_norm_first(pools, forks, monkeypatch):
+    """factor_levels hands the workers the level(d) call the parent would make."""
     from wieferich import FieldSpec, ideals
     from wieferich.cyclo import CycloFactorCache, divisors
 
@@ -245,8 +286,9 @@ def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch
     cache.factor_levels([12])
     levels = sorted(divisors(12), key=lambda d: cache.value(d).abs_norm(), reverse=True)
     assert levels == [12, 3, 4, 6, 2, 1]
-    assert [(fn, jobs) for fn, jobs, _ in pools] == [
-        (ideals.factor_principal, [(cache.value(d), budget) for d in levels])]
+    # every norm but Nm Phi_1(a) = 2 is above trial_limit**2, one worker each at most
+    assert pools == [(cache.level, [(d,) for d in levels], 5)]
+    assert len(forks) == 2
     in_process = {d: ideals.factor_principal(cache.value(d), budget) for d in levels}
 
     def refuse(*args):
@@ -258,7 +300,7 @@ def test_workers_return_each_divisor_level_largest_norm_first(pools, monkeypatch
 
 @needs_two_cpus
 @needs_fork
-def test_scan_jobs_are_the_sieve_segments_in_order(pools, gauss_field):
+def test_scan_jobs_are_the_sieve_segments_in_order(pools, forks, gauss_field):
     """Each worker job runs the kernel on one segment's primes, and the
     parent joins the segments' hits in order."""
     from wieferich import places
@@ -266,8 +308,10 @@ def test_scan_jobs_are_the_sieve_segments_in_order(pools, gauss_field):
 
     a = gauss_field.element(2, 1)
     hits, tested = places.scan_wieferich_places(a, 200000)
-    [(fn, jobs, count)] = pools
-    assert fn is places._wieferich_kernel and count == 2
+    [(fn, jobs, most)] = pools
+    # at most one worker per segment, and one per CPU of the mask
+    assert fn is places._wieferich_kernel and most == len(jobs) == 4
+    assert len(forks) == 2
     # the workers consumed their own copies: the parent's streams are untouched
     assert [base for base, _ in jobs] == [a] * 4
     segments = [list(primes) for _, primes in jobs]
@@ -280,7 +324,7 @@ def test_scan_jobs_are_the_sieve_segments_in_order(pools, gauss_field):
 
 def checked_job(n):
     """n squared; n < 0 raises, n == 0 kills its worker, and n == 1 returns
-    what pickle refuses, which also ends its worker."""
+    what pickle refuses: each of the three ends its worker."""
     if n < 0:
         raise ValueError(f"job {n}")
     if n == 0:
@@ -289,15 +333,20 @@ def checked_job(n):
 
 
 @needs_fork
-def test_fork_map_with_more_workers_than_cpus():
-    """Every job runs once; an exception comes back as the result, and a job
-    whose worker died is left out for the caller."""
-    jobs = [(n,) for n in (2, -1, 0, 3, 1, *range(4, 40))]
-    started = time.monotonic()
-    done = workers.fork_map(checked_job, jobs, 2 * CPUS + 1)
-    assert time.monotonic() - started < 30
-    assert isinstance(done.pop(1), ValueError)
-    assert done == {i: n * n for i, (n,) in enumerate(jobs) if n > 1}
+def test_fork_map_with_more_workers_than_cpus(forks):
+    """At most one worker per CPU starts, and none on one CPU.  A job that
+    raises, exits or returns what pickle refuses is left out, and another
+    worker runs every job after it; a job no worker reached is left out too."""
+    pooled = CPUS >= 2
+    for failing in (-1, 0, 1):
+        jobs = [(n,) for n in (2, failing, *range(3, 40))]
+        started = time.monotonic()
+        done = workers.fork_map(checked_job, jobs, 2 * CPUS + 1)
+        assert time.monotonic() - started < 30
+        assert done == ({i: n * n for i, (n,) in enumerate(jobs) if n > 1} if pooled else {})
+    assert len(forks) == (3 * min(CPUS, len(jobs)) if pooled else 0)
+    # a raise ends its worker: one raising job per worker leaves the last job unreached
+    assert workers.fork_map(checked_job, [(-1,)] * CPUS + [(2,)], 2 * CPUS + 1) == {}
     assert workers.fork_map(checked_job, [], 4) == {}
 
 
