@@ -1,8 +1,11 @@
 """Command line front end.
 
 Subcommands: field, classify, decompose, census, verify, exceptions, quality.
-All output is deterministic for a fixed invocation: fixed orderings, no
-timestamps, machine-readable JSON lines or CSV.  Exit codes: 0 success,
+main turns -d, the element flags and the budget flags into objects once,
+before dispatch, and every handler hands its rows to _render, the one writer
+of output.  All output is deterministic for a fixed invocation: fixed
+orderings, no timestamps, machine-readable JSON lines or CSV, where a cell
+holding a list is written as JSON.  Exit codes: 0 success,
 1 usage or input error, 2 a verification invariant failed, 3 the factoring
 budget ran out where completeness was required.
 """
@@ -115,58 +118,61 @@ def _budget_from(args) -> FactorBudget:
     return FactorBudget(trial_limit=trial, rho_iterations=rho)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _render(fmt: str, rows: list[dict], columns: list[str], summary: dict | None = None) -> str:
-    """CSV of the given columns (None cells empty), or one JSON line per row plus the summary."""
+    """The one writer of output: CSV of the given columns (None cells empty,
+    list cells as JSON), or one JSON line per row plus the summary."""
     if fmt == "csv":
-        return _csv_text(columns, [[row.get(c) for c in columns] for row in rows])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(json.dumps(v) if isinstance(v, list) else v for v in map(row.get, columns))
+        return buffer.getvalue()
     lines = rows if summary is None else rows + [{"summary": summary}]
     return "".join(json.dumps(obj) + "\n" for obj in lines)
 
 
-_PLACE_COLUMNS = ["p", "kind", "t", "norm", "order", "wieferich"]
+def _resolve_inputs(args) -> None:
+    """Add the FieldSpec of -d, replace the element flags by elements of it and
+    add the budget; in that order, so the first bad input is the one reported."""
+    if "d" in args:
+        args.field = FieldSpec.from_d(args.d)
+        for name in ("a", "alpha", "beta"):
+            if name in args:
+                setattr(args, name, args.field.parse_element(getattr(args, name)))
+    if "trial_limit" in args:
+        args.budget = _budget_from(args)
+
+
+_PLACE_KEYS = ["p", "kind", "t", "norm"]
 
 
 def _cmd_field(args) -> tuple[str, int]:
-    spec = FieldSpec.from_d(args.d)
-    info = spec.describe()
-    if args.format == "csv":
-        keys = sorted(info)
-        return _csv_text(keys, [[json.dumps(info[k]) if isinstance(info[k], list) else info[k] for k in keys]]), EXIT_OK
-    return json.dumps(info) + "\n", EXIT_OK
+    info = args.field.describe()
+    return _render(args.format, [info], sorted(info)), EXIT_OK
 
 
 def _cmd_classify(args) -> tuple[str, int]:
-    spec = FieldSpec.from_d(args.d)
-    base = spec.parse_element(args.a)
-    budget = _budget_from(args)
+    base, columns = args.a, [*_PLACE_KEYS, "order", "wieferich"]
     if args.prime is not None and args.p_max is not None:
         raise ValueError("choose either --prime or --p-max, not both")
     if args.prime is not None:
         rows = []
-        for P in primes_above(spec, args.prime):
+        for P in primes_above(args.field, args.prime):
             try:
-                rows.append(place_report(P, base, budget).as_dict())
+                rows.append(place_report(P, base, args.budget).as_dict())
             except ValueError:
                 # the base lies in this place, so the Fermat quotient is degenerate
-                rows.append({"place": P.label(), "p": P.p, "kind": P.kind, "t": P.t,
-                             "norm": P.norm, "order": None, "wieferich": None,
+                rows.append({"place": P.label(), **P.as_dict(), "order": None, "wieferich": None,
                              "note": "base lies in this place"})
-        return _render(args.format, rows, _PLACE_COLUMNS), EXIT_OK
+        return _render(args.format, rows, columns), EXIT_OK
     if args.p_max is not None:
-        hits, tested = scan_wieferich_places(base, args.p_max, budget)
+        hits, tested = scan_wieferich_places(base, args.p_max, args.budget)
         summary = {"tested": tested, "wieferich_count": len(hits)}
-        return _render(args.format, [r.as_dict() for r in hits], _PLACE_COLUMNS, summary), EXIT_OK
+        return _render(args.format, [r.as_dict() for r in hits], columns, summary), EXIT_OK
     info = {
         "base": base.coords(),
-        "field": str(spec),
+        "field": str(args.field),
         "classification": classify_base(base).value,
         "norm": base.norm(),
     }
@@ -174,73 +180,47 @@ def _cmd_classify(args) -> tuple[str, int]:
 
 
 def _cmd_decompose(args) -> tuple[str, int]:
-    spec = FieldSpec.from_d(args.d)
-    base = spec.parse_element(args.a)
-    dec = decompose(CycloFactorCache(base, _budget_from(args)), args.n)
+    dec = decompose(CycloFactorCache(args.a, args.budget), args.n)
     parts = {
-        name: [{"p": P.p, "kind": P.kind, "t": P.t, "norm": P.norm, "exponent": e}
-               for P, e in factorization.items_sorted()]
-        for name, factorization in (
-            ("squarefree", dec.squarefree),
-            ("powerful", dec.powerful),
-            ("level_squarefree", dec.level_squarefree),
-            ("level_powerful", dec.level_powerful),
-        )
+        name: [{**P.as_dict(), "exponent": e} for P, e in getattr(dec, name).items_sorted()]
+        for name in ("squarefree", "powerful", "level_squarefree", "level_powerful")
     }
     if args.format == "csv":
         rows = [{"part": name, **entry} for name, entries in parts.items() for entry in entries]
-        return _render("csv", rows, ["part", "p", "kind", "t", "norm", "exponent"]), EXIT_OK
-    payload = dec.norm_summary()
-    payload["base"] = base.coords()
-    payload["field"] = str(spec)
-    payload.update(parts)
-    return json.dumps(payload) + "\n", EXIT_OK
+    else:
+        rows = [{**dec.norm_summary(), "base": args.a.coords(), "field": str(args.field), **parts}]
+    return _render(args.format, rows, ["part", *_PLACE_KEYS, "exponent"]), EXIT_OK
 
 
 def _cmd_census(args) -> tuple[str, int]:
-    spec = FieldSpec.from_d(args.d)
-    base = spec.parse_element(args.a)
-    result = census(base, args.k, args.n_max, _budget_from(args), strategy=args.strategy)
+    result = census(args.a, args.k, args.n_max, args.budget, strategy=args.strategy)
     summary = result.summary()
     if args.x_max is not None:
         summary["x_max"] = args.x_max
         summary["count_at_x_max"] = result.count_upto(args.x_max)
     rows = [r.as_dict() for r in result.records]
-    columns = ["p", "kind", "t", "norm", "level", "residue_class"]
-    return _render(args.format, rows, columns, summary), EXIT_OK
+    return _render(args.format, rows, [*_PLACE_KEYS, "level", "residue_class"], summary), EXIT_OK
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    spec = FieldSpec.from_d(args.d)
-    base = spec.parse_element(args.a)
-    outcome = run_full_verification(base, args.n_max, _budget_from(args))
-    payload = outcome.as_dict()
+    outcome = run_full_verification(args.a, args.n_max, args.budget)
+    rows = [outcome.as_dict()]
     if args.format == "csv":
-        rows = [
-            [r["tag"], r["checked"], len(r["skipped"]), len(r["violations"]), r["passed"]]
-            for r in payload["reports"]
-        ]
-        text = _csv_text(["tag", "checked", "skipped", "violations", "passed"], rows)
-    else:
-        text = json.dumps(payload) + "\n"
+        rows = [{**r, "skipped": len(r["skipped"]), "violations": len(r["violations"])}
+                for r in rows[0]["reports"]]
+    text = _render(args.format, rows, ["tag", "checked", "skipped", "violations", "passed"])
     return text, EXIT_OK if outcome.passed else EXIT_VIOLATION
 
 
 def _cmd_exceptions(args) -> tuple[str, int]:
-    union = exception_set_union(args.d_max)
-    rows = [
-        {"d": d, "x": e.x, "y": e.y, "norm": e.norm(), "element": str(e)}
-        for d, e in union
-    ]
+    rows = [{"d": d, "x": e.x, "y": e.y, "norm": e.norm(), "element": str(e)}
+            for d, e in exception_set_union(args.d_max)]
     summary = {"count": len(rows), "d_max": args.d_max}
     return _render(args.format, rows, ["d", "x", "y", "norm", "element"], summary), EXIT_OK
 
 
 def _cmd_quality(args) -> tuple[str, int]:
-    spec = FieldSpec.from_d(args.d)
-    alpha = spec.parse_element(args.alpha)
-    beta = spec.parse_element(args.beta)
-    payload = abc_quality(alpha, beta, _budget_from(args)).as_dict()
+    payload = abc_quality(args.alpha, args.beta, args.budget).as_dict()
     return _render(args.format, [payload], list(payload)), EXIT_OK
 
 
@@ -265,6 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        _resolve_inputs(args)
         text, code = _HANDLERS[args.command](args)
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,6 +56,10 @@ class PrimeIdeal:
     def sort_key(self) -> tuple[int, int, int]:
         return (self.p, _KIND_ORDER[self.kind], -1 if self.t is None else self.t)
 
+    def as_dict(self) -> dict:
+        """The place as the leading keys of an output row; t is None unless split or ramified."""
+        return {"p": self.p, "kind": self.kind, "t": self.t, "norm": self.norm}
+
     def label(self) -> str:
         if self.t is None:
             return f"({self.p},{self.kind})"

@@ -75,14 +75,7 @@ class PlaceReport:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.place.p,
-            "kind": self.place.kind,
-            "t": self.place.t,
-            "norm": self.norm,
-            "order": self.order,
-            "wieferich": self.wieferich,
-        }
+        return {**self.place.as_dict(), "order": self.order, "wieferich": self.wieferich}
 
 
 def place_report(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None) -> PlaceReport:
@@ -103,14 +96,8 @@ class CensusRecord:
     residue_class: int
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.place.p,
-            "kind": self.place.kind,
-            "t": self.place.t,
-            "norm": self.norm,
-            "level": self.discovered_at_level,
-            "residue_class": self.residue_class,
-        }
+        return {**self.place.as_dict(), "level": self.discovered_at_level,
+                "residue_class": self.residue_class}
 
 
 @dataclass

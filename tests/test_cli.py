@@ -66,7 +66,10 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
     a prime-level census, a small-base census, the decompose error paths and
     the CSV tables of classify (including a place the base lies in), decompose,
     quality and field, and an exceptions bound of 10**12, far past the last
-    field that adds an element.
+    field that adds an element.  They also pin the base-info JSON of classify,
+    an inert place row, a place the base lies in as JSON, the rational field
+    in both formats, the --prime/--p-max conflict, the census and verify
+    refusals of a magnitude-one base and a malformed quality element.
     """
     monkeypatch.delenv(cli.ENV_TRIAL_LIMIT, raising=False)
     monkeypatch.delenv(cli.ENV_RHO_ITERATIONS, raising=False)
@@ -78,7 +81,7 @@ def test_golden_outputs_byte_identical(capsys, monkeypatch):
 def test_golden_outputs_unchanged_under_optimize():
     """The golden cases replayed under python -O: no output depends on assert."""
     got = replay([case["argv"] for case in GOLDEN], "-O")
-    assert len(got) == len(GOLDEN) == 30
+    assert len(got) == len(GOLDEN) == 39
     for case, result in zip(GOLDEN, got):
         assert result == [case["exit"], case["stdout"], case["stderr"]], case["argv"]
 
@@ -357,6 +360,20 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err == f"error: {variable} must be an integer, got '{value}'\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["quality", "-d", "0", "--alpha", "x", "--beta=-8"], "element coordinates must be integers, got 'x'"),
+        (["classify", "-d", "1", "-a", "2,1", "--prime", "2", "--p-max", "5"],
+         f"{cli.ENV_TRIAL_LIMIT} must be an integer, got 'abc'"),
+        (["decompose", "-d", "1", "-a", "0,1", "-n", "3"], f"{cli.ENV_TRIAL_LIMIT} must be an integer, got 'abc'"),
+        (["classify", "-d", "4", "-a", "x"], "d must be a squarefree integer >= 1, got 4"),
+    ], ids=["element", "conflict", "base", "field"])
+    def test_field_then_elements_then_budget(self, capsys, monkeypatch, argv, error):
+        """The budget variable is bad in every case.  The field is checked
+        first, then the elements, then the budget, then the command's own
+        arguments, and only the first bad input is reported."""
+        monkeypatch.setenv(cli.ENV_TRIAL_LIMIT, "abc")
+        assert run_cli(argv, capsys) == (1, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("flags, environ", [
         (["--trial-limit", "10000001"], {}),

@@ -254,6 +254,37 @@ class TestScanKernel:
             assert pow(bx, p - 1, pp) == 1 and by % pp != 0
 
 
+class TestPlaceRows:
+    """PrimeIdeal.as_dict is the one spelling of a place in an output row."""
+
+    @pytest.mark.parametrize("d, p, expected", [
+        (0, 7, [{"p": 7, "kind": "rational", "t": None, "norm": 7}]),
+        (1, 5, [{"p": 5, "kind": "split", "t": 2, "norm": 5}, {"p": 5, "kind": "split", "t": 3, "norm": 5}]),
+        (1, 2, [{"p": 2, "kind": "ramified", "t": 1, "norm": 2}]),
+        (1, 3, [{"p": 3, "kind": "inert", "t": None, "norm": 9}]),
+        (2, 5, [{"p": 5, "kind": "inert", "t": None, "norm": 25}]),
+    ])
+    def test_prime_ideal_row(self, d, p, expected):
+        rows = [P.as_dict() for P in primes_above(FieldSpec.from_d(d), p)]
+        assert rows == expected
+        for row in rows:
+            assert list(row) == ["p", "kind", "t", "norm"]
+            assert row["norm"] == (p * p if row["kind"] == KIND_INERT else p)
+
+    def test_report_and_record_rows_begin_with_the_place(self, gauss_field):
+        a = gauss_field.element(2, 1)
+        for P in (*primes_above(gauss_field, 13), *primes_above(gauss_field, 3)):
+            row = place_report(P, a).as_dict()
+            assert list(row.items())[:4] == list(P.as_dict().items())
+            assert list(row)[4:] == ["order", "wieferich"]
+        records = census(a, 1, 8).records
+        assert KIND_INERT in {r.place.kind for r in records}
+        for record in records:
+            row = record.as_dict()
+            assert list(row.items())[:4] == list(record.place.as_dict().items())
+            assert list(row)[4:] == ["level", "residue_class"]
+
+
 class TestSquarefreeRoute:
     def test_split_example(self, base_2i, cache_2i):
         dec = decompose(cache_2i, 2)
