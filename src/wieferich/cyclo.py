@@ -239,11 +239,9 @@ class Decomposition:
     or of (Phi_n(a)) and only the certified portion is reported.
     """
 
-    a: QuadInt
     n: int
     power_value: QuadInt
     power_ideal: IdealFactorization
-    level_value: QuadInt
     level_ideal: IdealFactorization
     squarefree: IdealFactorization
     powerful: IdealFactorization
@@ -258,7 +256,7 @@ class Decomposition:
         return {
             "n": self.n,
             "norm_power_minus_one": abs(self.power_value.norm()),
-            "norm_level_value": abs(self.level_value.norm()),
+            "norm_level_value": self.level_ideal.norm(),
             "norm_squarefree": self.squarefree.norm(),
             "norm_powerful": self.powerful.norm(),
             "norm_level_squarefree": self.level_squarefree.norm(),
@@ -291,11 +289,9 @@ def decompose(cache: CycloFactorCache, n: int) -> Decomposition:
         )
 
     return Decomposition(
-        a=a,
         n=n,
         power_value=power_value,
         power_ideal=power_ideal,
-        level_value=cache.value(n),
         level_ideal=level,
         squarefree=squarefree,
         powerful=powerful,

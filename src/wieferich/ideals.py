@@ -270,9 +270,6 @@ class IdealFactorization:
             out *= P.norm
         return out
 
-    def is_trivial(self) -> bool:
-        return not self.exponents and self.cofactor == 1
-
     def mul(self, other: IdealFactorization) -> IdealFactorization:
         if other.field != self.field:
             raise ValueError("cannot multiply ideals of different fields")

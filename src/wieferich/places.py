@@ -57,22 +57,19 @@ def is_wieferich_place(P: PrimeIdeal, a: QuadInt) -> bool:
 
 @dataclass(frozen=True)
 class PlaceReport:
-    """One classified place: norm, multiplicative order of the base, verdict.
+    """One classified place: multiplicative order of the base, verdict.
 
     order is None when the norm-minus-one factorization resisted the budget.
     """
 
     place: PrimeIdeal
-    base: QuadInt
-    norm: int
     order: int | None
     wieferich: bool
 
     def __post_init__(self) -> None:
-        if self.order is not None and (self.norm - 1) % self.order:
-            raise InvariantViolation(
-                f"order {self.order} does not divide {self.norm} - 1 at {self.place.label()}"
-            )
+        P = self.place
+        if self.order is not None and (P.norm - 1) % self.order:
+            raise InvariantViolation(f"order {self.order} does not divide {P.norm} - 1 at {P.label()}")
 
     def as_dict(self) -> dict:
         return {**self.place.as_dict(), "order": self.order, "wieferich": self.wieferich}
@@ -83,7 +80,7 @@ def place_report(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None) 
         order = residue_order(P, a, budget)
     except BudgetExhausted:
         order = None
-    return PlaceReport(P, a, P.norm, order, is_wieferich_place(P, a))
+    return PlaceReport(P, order, is_wieferich_place(P, a))
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,6 @@ class CensusRecord:
 
     place: PrimeIdeal
     discovered_at_level: int
-    norm: int
     residue_class: int
 
     def as_dict(self) -> dict:
@@ -114,14 +110,11 @@ class CensusResult:
     warnings: list[str] = dc_field(default_factory=list)
     complete_multipliers: list[int] = dc_field(default_factory=list)
 
-    def grid_base(self) -> int:
-        return self.base.abs_norm()
-
     def count_upto(self, x: int) -> int:
-        return sum(1 for r in self.records if r.norm <= x)
+        return sum(1 for r in self.records if r.place.norm <= x)
 
     def summary(self) -> dict:
-        base_norm = self.grid_base()
+        base_norm = self.base.abs_norm()
         x_grid = [base_norm ** (self.k * m) for m in self.complete_multipliers]
         counts = [self.count_upto(x) for x in x_grid]
         ratios = [c / math.log(x) if x > 1 else None for c, x in zip(counts, x_grid)]
@@ -135,7 +128,7 @@ class CensusResult:
             level = self.k * m
             found = by_level.get(level, ())
             cumulative += len(found)
-            certified = certified and all(r.norm <= base_norm**level for r in found)
+            certified = certified and all(r.place.norm <= base_norm**level for r in found)
             counts_by_level.append(
                 {
                     "multiplier": m,
@@ -233,7 +226,7 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
                 raise InvariantViolation(
                     f"{P.label()} has norm {P.norm} outside the class 1 mod {k}"
                 )
-            result.records.append(CensusRecord(P, level, P.norm, P.norm % k))
+            result.records.append(CensusRecord(P, level, P.norm % k))
     return result
 
 

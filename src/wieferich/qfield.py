@@ -3,8 +3,8 @@
 Elements are stored in integral-basis coordinates x + y*w.  The generator w
 depends on the squarefree parameter d: w = sqrt(-d) when d is 1 or 2 mod 4
 ("sqrt" basis) and w = (1 + sqrt(-d))/2 when d is 3 mod 4 ("half" basis).
-A degenerate rational mode (the ring is plain Z, trivial conjugation) lets
-the same pipelines run against ordinary integers.  Every ring is Z[w] with
+A degenerate rational mode (d = 0: the ring is plain Z, trivial conjugation)
+lets the same pipelines run against ordinary integers.  Every ring is Z[w] with
 w^2 = T*w - N (T = omega_trace, N = omega_norm; T = N = 0 and y = 0 in
 rational mode), so products, conjugates, norms and powers follow one rule.
 Powers, exact or modular, come from _pair_pow, the package's one
@@ -19,10 +19,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intfactor import factorize
-
-MODE_RATIONAL = "rational"
-MODE_IMAGINARY_QUADRATIC = "imaginary-quadratic"
+from .intfactor import as_index, factorize
 
 BASIS_SQRT = "sqrt"
 BASIS_HALF = "half"
@@ -49,37 +46,24 @@ def is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An imaginary quadratic field Q(sqrt(-d)), or Q itself in rational mode."""
+    """An imaginary quadratic field Q(sqrt(-d)), or Q itself (rational mode) when d = 0."""
 
-    mode: str
-    d: int | None = None
+    d: int
 
     def __post_init__(self) -> None:
-        if self.mode == MODE_RATIONAL:
-            if self.d is not None:
-                raise ValueError("rational mode carries no d parameter")
-        elif self.mode == MODE_IMAGINARY_QUADRATIC:
-            if self.d is None or self.d < 1 or not is_squarefree(self.d):
-                raise ValueError(f"d must be a squarefree integer >= 1, got {self.d!r}")
-        else:
-            raise ValueError(f"unknown field mode {self.mode!r}")
-
-    @classmethod
-    def rational(cls) -> FieldSpec:
-        return cls(MODE_RATIONAL)
-
-    @classmethod
-    def imaginary_quadratic(cls, d: int) -> FieldSpec:
-        return cls(MODE_IMAGINARY_QUADRATIC, d)
+        d = as_index(self.d, "d")
+        object.__setattr__(self, "d", d)
+        if d and (d < 1 or not is_squarefree(d)):
+            raise ValueError(f"d must be a squarefree integer >= 1, got {d!r}")
 
     @classmethod
     def from_d(cls, d: int) -> FieldSpec:
-        """CLI convention: d = 0 selects the rational degenerate mode."""
-        return cls.rational() if d == 0 else cls.imaginary_quadratic(d)
+        """FieldSpec(d) under its named-constructor spelling."""
+        return cls(d)
 
     @property
     def is_rational(self) -> bool:
-        return self.mode == MODE_RATIONAL
+        return self.d == 0
 
     @property
     def degree(self) -> int:
@@ -117,7 +101,7 @@ class FieldSpec:
         return root if self.basis_kind == BASIS_SQRT else f"(1+{root})/2"
 
     def element(self, x: int, y: int = 0) -> QuadInt:
-        return QuadInt(int(x), int(y), self)
+        return QuadInt(as_index(x, "x"), as_index(y, "y"), self)
 
     def zero(self) -> QuadInt:
         return self.element(0)
@@ -141,9 +125,9 @@ class FieldSpec:
 
     def describe(self) -> dict:
         if self.is_rational:
-            return {"mode": self.mode, "ring": "Z", "degree": 1}
+            return {"mode": "rational", "ring": "Z", "degree": 1}
         return {
-            "mode": self.mode,
+            "mode": "imaginary-quadratic",
             "d": self.d,
             "discriminant": self.discriminant,
             "basis_kind": self.basis_kind,

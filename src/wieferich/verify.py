@@ -367,7 +367,9 @@ def exception_set(d_list) -> dict[int, list[QuadInt]]:
     """
     out: dict[int, list[QuadInt]] = {}
     for d in d_list:
-        spec = FieldSpec.imaginary_quadratic(d)
+        spec = FieldSpec(d)
+        if spec.is_rational:
+            raise ValueError("d must be a squarefree integer >= 1, got 0")
         trace, disc = spec.omega_trace, -spec.discriminant
         found = []
         # 4*Nm(x + y*w) = (2x + trace*y)^2 + |disc|*y^2 <= 12

@@ -14,7 +14,7 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def rational_field():
-    return FieldSpec.rational()
+    return FieldSpec.from_d(0)
 
 
 @pytest.fixture(scope="session")

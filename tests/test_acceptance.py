@@ -79,7 +79,7 @@ def test_criterion_02_gauss_places_above_rational_wieferich(gauss_field):
     # independent re-check through valuations instead of residue arithmetic
     one = gauss_field.one()
     revalidated = all(
-        element_valuation(r.place, two ** (r.norm - 1) - one) >= 2 for r in hits
+        element_valuation(r.place, two ** (r.place.norm - 1) - one) >= 2 for r in hits
     )
     ok = labels == expected and split_count == 2 and inert_count == 1 and revalidated
     verdict(
@@ -132,7 +132,7 @@ def test_criterion_05_level_slices_pairwise_coprime(sweep):
 
 
 def test_criterion_06_norm_bounds_and_sandwich():
-    sample = [FieldSpec.rational().element(n) for n in (2, 3, 5, 7, 10)]
+    sample = [FieldSpec.from_d(0).element(n) for n in (2, 3, 5, 7, 10)]
     for d in (1, 2, 3, 5, 6, 7, 10, 11, 13, 15):
         field = FieldSpec.from_d(d)
         found = 0

@@ -206,7 +206,7 @@ HORNER_EXTRA_LEVELS = [64, 81, 105, 120, 128, 210]
 class TestEvaluation:
     @pytest.mark.parametrize("n", [*range(1, 61), *HORNER_EXTRA_LEVELS])
     def test_rational_eval_matches_horner(self, n):
-        field = FieldSpec.rational()
+        field = FieldSpec.from_d(0)
         for base in (2, 3, 10, -2):
             a = field.element(base)
             assert cyclotomic_eval(n, a) == horner(oracle_cyclotomic(n), a)
@@ -218,7 +218,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("n", range(1, 61))
     def test_product_identity(self, n, gauss_field):
-        for a in (gauss_field.element(2, 1), FieldSpec.rational().element(2)):
+        for a in (gauss_field.element(2, 1), FieldSpec.from_d(0).element(2)):
             prod = a.field.one()
             for d in divisors(n):
                 prod = prod * cyclotomic_eval(d, a)
@@ -493,6 +493,20 @@ class TestCacheAndDecompose:
         assert all(e >= 2 for _, e in dec.powerful.items_sorted())
         level_total = cyclotomic_eval(n, base_2i).abs_norm()
         assert dec.level_squarefree.norm() * dec.level_powerful.norm() == level_total
+
+    @pytest.mark.parametrize("budget", [FactorBudget(), FactorBudget(50, 0)], ids=["default", "tiny"])
+    def test_norm_level_value_is_the_level_norm(self, budget):
+        # the level ideal's norm keeps its cofactor, so it is |Nm Phi_n(a)|
+        # at the levels the tiny budget leaves incomplete as well
+        incomplete = 0
+        for d, x, y in ((1, 2, 1), (3, 1, 1), (0, 3, 0)):
+            a = FieldSpec.from_d(d).element(x, y)
+            cache = CycloFactorCache(a, budget)
+            for n in range(1, 31):
+                summary = decompose(cache, n).norm_summary()
+                assert summary["norm_level_value"] == abs(cyclotomic_eval(n, a).norm()), (a, n)
+                incomplete += not cache.level(n).complete
+        assert (incomplete > 0) == (budget.trial_limit == 50)
 
     def test_incomplete_is_flagged(self, d2_field):
         outlier = d2_field.element(2, 1)

@@ -71,16 +71,32 @@ class TestFieldSpec:
         assert (F7.omega_trace, F7.omega_norm) == (1, 2)
 
     def test_rational_mode(self):
-        F = FieldSpec.rational()
+        F = FieldSpec.from_d(0)
         assert F.is_rational
         assert F.degree == 1
-        assert FieldSpec.from_d(0) == F
+        assert F.d == 0 and F.describe()["mode"] == "rational"
         assert str(F) == "Q"
 
     def test_rejects_bad_d(self):
         for bad in (4, 8, 9, 12, -1, -3):
             with pytest.raises(ValueError):
-                FieldSpec.imaginary_quadratic(bad)
+                FieldSpec.from_d(bad)
+
+    def test_d_must_be_an_integer(self):
+        # a float d once built Q(sqrt(-2.0)) with float coordinates
+        for bad in (2.0, "3", None):
+            with pytest.raises(TypeError, match="d must be an integer"):
+                FieldSpec.from_d(bad)
+        assert type(FieldSpec(True).d) is int and FieldSpec(True) == FieldSpec(1)
+
+    def test_coordinates_must_be_integers(self):
+        # a float coordinate was once truncated: element(2.5) became 2
+        gauss = FieldSpec.from_d(1)
+        with pytest.raises(TypeError, match="x must be an integer"):
+            gauss.element(2.5)
+        with pytest.raises(TypeError, match="y must be an integer"):
+            gauss.element(1, 1.0)
+        assert gauss.element(2, 1) == QuadInt(2, 1, gauss)
 
     def test_parse_element(self):
         F = FieldSpec.from_d(1)
@@ -92,7 +108,7 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             F.parse_element("x")
         with pytest.raises(ValueError):
-            FieldSpec.rational().parse_element("1,2")
+            FieldSpec.from_d(0).parse_element("1,2")
 
     def test_is_squarefree(self):
         assert [n for n in range(1, 20) if is_squarefree(n)] == [
@@ -153,7 +169,7 @@ class TestArithmetic:
         F = FieldSpec.from_d(1)
         with pytest.raises(InexactDivisionError):
             F.element(1, 0).exact_div(F.element(1, 1))
-        R = FieldSpec.rational()
+        R = FieldSpec.from_d(0)
         with pytest.raises(InexactDivisionError):
             R.element(7).exact_div(R.element(2))
         assert R.element(-8).exact_div(R.element(2)) == R.element(-4)
@@ -181,7 +197,7 @@ class TestArithmetic:
         assert pow(a, e, mod) == a.field.element(power.x % mod, power.y % mod)
 
     def test_signed_rational_norm(self):
-        R = FieldSpec.rational()
+        R = FieldSpec.from_d(0)
         assert R.element(-7).norm() == -7
         assert R.element(-7).abs_norm() == 7
 
@@ -193,8 +209,8 @@ class TestArithmetic:
         F3 = FieldSpec.from_d(3)
         # omega = (1 + sqrt(-3))/2 is a sixth root of unity
         assert F3.element(0, 1).is_unit()
-        assert FieldSpec.rational().element(-1).is_unit()
-        assert not FieldSpec.rational().element(2).is_unit()
+        assert FieldSpec.from_d(0).element(-1).is_unit()
+        assert not FieldSpec.from_d(0).element(2).is_unit()
 
     def test_str_forms(self):
         F1 = FieldSpec.from_d(1)
@@ -202,7 +218,7 @@ class TestArithmetic:
         assert str(F1.element(0, -1)) == "-i"
         F2 = FieldSpec.from_d(2)
         assert str(F2.element(1, -1)) == "1-sqrt(-2)"
-        assert str(FieldSpec.rational().element(-3)) == "-3"
+        assert str(FieldSpec.from_d(0).element(-3)) == "-3"
 
 
 class TestClassifyBase:

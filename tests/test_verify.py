@@ -166,7 +166,7 @@ class TestBoundChecks:
         expected = []
         for m, n in combinations(sorted(slices), 2):
             shared = slices[m].gcd(slices[n])
-            if not shared.is_trivial():
+            if shared.exponents:
                 expected.append({"m": m, "n": n, "gcd": repr(shared)})
         report = check_pairwise_coprime(cache, 10)
         assert report.violations == expected
@@ -305,6 +305,11 @@ class TestExceptionSet:
         field = FieldSpec.from_d(d)
         got = {(a.x, a.y) for a in exception_set([d])[d]}
         assert got == brute_norm_le_3(d)
+
+    def test_rejects_rational_and_bad_d(self):
+        for bad in (0, 4, -1):
+            with pytest.raises(ValueError, match="squarefree integer >= 1"):
+                exception_set([bad])
 
     def test_counts(self):
         table = exception_set([1, 2, 3, 5, 7, 11])
