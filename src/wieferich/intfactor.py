@@ -30,11 +30,13 @@ pseudoprime to the 13 prime bases 2..41, those bases are exact.  Above it
 certify_prime needs an Atkin-Morain ECPP chain (Goldwasser-Kilian, J. ACM 46,
 1999; Atkin-Morain, Math. Comp. 61, 1993) whose curves have complex
 multiplication by one of the nine class-number-one discriminants, so their
-j-invariants are integers and no class polynomial is needed.  A curve order
-whose part left after the primes below 2**16 is still composite is peeled by
-short rho runs, within the chain's fixed node count.  No proof reads the
-budget.  When the budget runs out the factorization carries the unfactored
-cofactor and is flagged incomplete instead of silently pretending.
+j-invariants are integers and no class polynomial is needed.  Each step is
+checked with the affine group law mod q: a slope denominator that is no unit
+mod q, or equal x with y neither equal nor opposite, proves q composite.  A
+curve order whose part left after the primes below 2**16 is still composite
+is peeled by short rho runs, within the chain's fixed node count.  No proof
+reads the budget.  When the budget runs out the factorization carries the
+unfactored cofactor and is flagged incomplete instead of silently pretending.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class FactorBudget:
     rho_iterations: int = 10**6
 
     def __post_init__(self) -> None:
+        for name in ("trial_limit", "rho_iterations"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if not 2 <= self.trial_limit <= _MAX_TRIAL_LIMIT or self.rho_iterations < 0:
             raise ValueError("budget parameters out of range")
 
@@ -319,6 +323,7 @@ def certify_prime(n: int) -> bool | None:
     Above DETERMINISTIC_MR_BOUND a probable prime is proved only by an
     Atkin-Morain ECPP chain, so the verdict depends on n alone.
     """
+    n = as_index(n, "n")
     if n < 2:
         return False
     if n < DETERMINISTIC_MR_BOUND:
@@ -346,66 +351,49 @@ def _ecpp_strip_product() -> int:
     return layer[0]
 
 
-def _ec_multiple(k: int, x: int, y: int, a: int, q: int) -> tuple[int, int, int] | None:
-    """k * (x, y) for k >= 1 on y^2 = x^3 + a*x + b mod q, as Jacobian (X : Y : Z); Z = 0 is O.
+def _ec_multiple(k: int, x: int, y: int, a: int, q: int) -> tuple[int, int] | None:
+    """k * (x, y) for k >= 1 on y^2 = x^3 + a*x + b mod q, as an affine point; None is O.
 
-    Left-to-right double-and-add with mixed additions of the affine (x, y).
-    Every nonzero Z met, and every R that decides P + Q = O, joins one
-    product.  If that product is no unit mod q, q is composite and None is
-    returned; otherwise every branch taken mod q is the one taken mod each
-    prime p | q, so the result reduces to k * (x, y) over F_p.
+    Left-to-right double-and-add with the affine group law.  Each slope's
+    denominator is inverted by pow(den, -1, q), which raises ValueError when
+    it is no unit mod q, and a sum of two points with equal x but y neither
+    equal nor opposite raises ValueError too: for (x, y) on the curve either
+    shows q composite.  Otherwise every denominator is nonzero and every test
+    of x and y reads the same modulo each prime p | q, so each branch taken
+    mod q is the one taken mod p and the result reduces to k * (x, y) over F_p.
     """
-    units = 1
 
-    def double(X: int, Y: int, Z: int) -> tuple[int, int, int]:
-        nonlocal units
-        if Z == 0:
-            return X, Y, Z
-        yy = Y * Y % q
-        s = 4 * X * yy % q
-        zz = Z * Z % q
-        m = (3 * X * X + a * zz * zz) % q
-        x3 = (m * m - 2 * s) % q
-        z3 = 2 * Y * Z % q
-        if z3:
-            units = units * z3 % q
-        return x3, (m * (s - x3) - 8 * yy * yy) % q, z3
-
-    X, Y, Z = x, y, 1
-    for bit in bin(k)[3:]:
-        X, Y, Z = double(X, Y, Z)
-        if bit == "0":
-            continue
-        if Z == 0:
-            X, Y, Z = x, y, 1
-            continue
-        zz = Z * Z % q
-        h = (x * zz - X) % q
-        r = (y * zz * Z - Y) % q
-        if h == 0 and r == 0:
-            X, Y, Z = double(x, y, 1)
-        elif h == 0:
-            units = units * r % q
-            Z = 0
+    def add(P1: tuple[int, int] | None, P2: tuple[int, int] | None) -> tuple[int, int] | None:
+        # P2 is O only when P1 is: the loop adds R to itself or to P
+        if P1 is None:
+            return P2
+        (x1, y1), (x2, y2) = P1, P2
+        if x1 == x2:
+            if (y1 + y2) % q == 0:
+                return None
+            if y1 != y2:
+                raise ValueError("equal x with y neither equal nor opposite: q is composite")
+            slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, q) % q
         else:
-            hh = h * h % q
-            hhh = h * hh % q
-            v = X * hh % q
-            x3 = (r * r - hhh - 2 * v) % q
-            X, Y, Z = x3, (r * (v - x3) - Y * hhh) % q, Z * h % q
-            units = units * Z % q
-    if math.gcd(units, q) != 1:
-        return None
-    return X, Y, Z
+            slope = (y2 - y1) * pow(x2 - x1, -1, q) % q
+        x3 = (slope * slope - x1 - x2) % q
+        return x3, (slope * (x1 - x3) - y1) % q
+
+    P = R = (x % q, y % q)
+    for bit in bin(k)[3:]:
+        R = add(R, R)
+        if bit == "1":
+            R = add(R, P)
+    return R
 
 
 def _ecpp_step_holds(q: int, a: int, b: int, m: int, r: int, P: tuple[int, int]) -> bool:
     """True when P on y^2 = x^3 + a*x + b proves q prime, given that r is prime.
 
-    The Goldwasser-Kilian criterion: Q = (m / r) * P is no O modulo any prime
-    p | q while r * Q = O, so Q has order r on the curve mod p, and
-    r <= (p**(1/2) + 1)**2 together with r > (q**(1/4) + 1)**2 leaves no
-    p <= q**(1/2).
+    The Goldwasser-Kilian criterion: Q = (m / r) * P is affine, so no O
+    modulo any prime p | q, while r * Q = O, so Q has order r on the curve
+    mod p, and r <= (p**(1/2) + 1)**2 together with r > (q**(1/4) + 1)**2
+    leaves no p <= q**(1/2).  A ValueError of _ec_multiple shows q composite.
     """
     if q < 5 or math.gcd(q, 6) != 1 or math.gcd(4 * a**3 + 27 * b**2, q) != 1:
         return False
@@ -414,12 +402,11 @@ def _ecpp_step_holds(q: int, a: int, b: int, m: int, r: int, P: tuple[int, int])
         return False
     if r <= _ecpp_bound(q) or m < r or m % r != 0:
         return False
-    Q = _ec_multiple(m // r, x, y, a, q)
-    if Q is None or math.gcd(Q[2], q) != 1:
+    try:
+        Q = _ec_multiple(m // r, x, y, a, q)
+        return Q is not None and _ec_multiple(r, *Q, a, q) is None
+    except ValueError:
         return False
-    inverse = pow(Q[2], -1, q)
-    R = _ec_multiple(r, Q[0] * inverse**2 % q, Q[1] * inverse**3 % q, a, q)
-    return R is not None and R[2] == 0
 
 
 def _cornacchia(q: int, d: int) -> tuple[int, int] | None:
@@ -481,20 +468,6 @@ def _ecpp_candidates(q: int, nodes: Iterator[int]) -> Iterator[tuple[int, int, i
             return
 
 
-def _ecpp_descent(q: int, nodes: Iterator[int]) -> list[tuple[int, int, int, int]] | None:
-    """(q, d, m, r) for each step from q down below DETERMINISTIC_MR_BOUND, by a
-    depth-first search over the candidates; None at a dead end or once the nodes run out."""
-    if q < DETERMINISTIC_MR_BOUND:
-        return []
-    for r, d, m in _ecpp_candidates(q, nodes):
-        if next(nodes, None) is None:
-            return None
-        rest = _ecpp_descent(r, nodes)
-        if rest is not None:
-            return [(q, d, m, r), *rest]
-    return None
-
-
 def _ecpp_twists(q: int, d: int) -> list[tuple[int, int]]:
     """(a, b) of every twist of the curve with CM by discriminant -d over F_q.
 
@@ -516,28 +489,38 @@ def _ecpp_twists(q: int, d: int) -> list[tuple[int, int]]:
 def _ecpp_chain(n: int) -> tuple[EcppStep, ...] | None:
     """An Atkin-Morain proof of the probable prime n, or None.
 
-    Each step (q, D, a, b, m, r, P) is accepted by _ecpp_step_holds, and
-    each r is proved by the next step; the last r passed is_probable_prime
-    below DETERMINISTIC_MR_BOUND, where it is exact.
+    A depth-first search over the candidates, which spends at most
+    _ECPP_MAX_NODES candidate orders and rho runs in all.  Once the search
+    from r has proved r, q's step is built on the first twist whose
+    random.Random(q) point passes _ecpp_step_holds; when none does, the
+    search moves on to q's next candidate.  Each step (q, D, a, b, m, r, P)
+    is accepted by _ecpp_step_holds, and each r is proved by the next step;
+    the last r passed is_probable_prime below DETERMINISTIC_MR_BOUND, where
+    it is exact.
     """
-    descent = _ecpp_descent(n, iter(range(_ECPP_MAX_NODES)))
-    if descent is None:
+    nodes = iter(range(_ECPP_MAX_NODES))
+
+    def search(q: int) -> tuple[EcppStep, ...] | None:
+        if q < DETERMINISTIC_MR_BOUND:
+            return ()
+        for r, d, m in _ecpp_candidates(q, nodes):
+            if next(nodes, None) is None:
+                return None
+            rest = search(r)
+            if rest is None:
+                continue
+            rng = random.Random(q)
+            for a, b in _ecpp_twists(q, d):
+                while True:
+                    x = rng.randrange(q)
+                    y = sqrt_mod_prime(x**3 + a * x + b, q)
+                    if y is not None:
+                        break
+                if _ecpp_step_holds(q, a, b, m, r, (x, y)):
+                    return ((q, -d, a, b, m, r, (x, y)), *rest)
         return None
-    chain: list[EcppStep] = []
-    for q, d, m, r in descent:
-        rng = random.Random(q)
-        for a, b in _ecpp_twists(q, d):
-            while True:
-                x = rng.randrange(q)
-                y = sqrt_mod_prime(x**3 + a * x + b, q)
-                if y is not None:
-                    break
-            if _ecpp_step_holds(q, a, b, m, r, (x, y)):
-                chain.append((q, -d, a, b, m, r, (x, y)))
-                break
-        else:
-            return None
-    return tuple(chain)
+
+    return search(n)
 
 
 def _integer_nth_root(n: int, k: int) -> int:
@@ -754,7 +737,7 @@ def factorize(n: int, budget: FactorBudget | None = None) -> FactorResult:
     prime factor up to the trial limit, so its perfect power search tries only
     roots above the limit.
     """
-    budget = budget or FactorBudget()
+    n, budget = as_index(n, "n"), budget or FactorBudget()
     if n < 1:
         raise ValueError("factorization target must be >= 1")
     if n == 1:

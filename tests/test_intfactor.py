@@ -455,11 +455,32 @@ class TestFactorize:
         for p, e in result.factors.items():
             assert e == padic_valuation(n, p)
 
+    def test_non_integers_are_rejected(self):
+        # certify_prime(7.0) once said True, and factorize(2.5) died on a bit operation
+        for value in (7.0, 2.5, Fraction(7), "7"):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                certify_prime(value)
+            with pytest.raises(TypeError, match="n must be an integer"):
+                factorize(value)
+        assert certify_prime(True) is False
+        assert factorize(True) == factorize(1)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
         with pytest.raises(ValueError):
             factorize(-6)
+
+    def test_budget_fields_must_be_integers(self):
+        # FactorBudget(1000.0) once passed, and math.isqrt then failed inside factorize;
+        # a float effort failed only once ECM was reached
+        for value in (1000.0, 2.5, Fraction(1000), "1000"):
+            with pytest.raises(TypeError, match="trial_limit must be an integer"):
+                FactorBudget(value)
+            with pytest.raises(TypeError, match="rho_iterations must be an integer"):
+                FactorBudget(1000, value)
+        budget = FactorBudget(1000, True)
+        assert type(budget.rho_iterations) is int and budget == FactorBudget(1000, 1)
 
     def test_trial_limit_is_capped_where_its_sieve_stays_small(self):
         assert FactorBudget(10**7).trial_limit == 10**7
@@ -868,6 +889,8 @@ CENSUS_GAUSS_PRIMES = (
     355417856903951625637926246979059221821,
     2060217667404538867445649680592653838363544001,
 )
+# the 280-bit probable prime of level 139 of census -d 1 -a 2,1, which no chain reaches
+LEVEL_139_PRIME = 1373598218259996285644462524008538599438107346003212393523675170048618217618375922993
 
 
 def ecpp_step(q: int):
@@ -891,13 +914,9 @@ def twist_points(q: int, d: int, skip: tuple[int, int], rng: random.Random):
 
 
 def group_checks_hold(q, a, m, r, P) -> bool:
-    """r * ((m / r) * P) = O with (m / r) * P of unit Z: the checker minus its other conditions."""
+    """r * ((m / r) * P) = O with (m / r) * P affine: the checker minus its other conditions."""
     Q = intfactor._ec_multiple(m // r, *P, a, q)
-    if Q is None or math.gcd(Q[2], q) != 1:
-        return False
-    inverse = pow(Q[2], -1, q)
-    R = intfactor._ec_multiple(r, Q[0] * inverse**2 % q, Q[1] * inverse**3 % q, a, q)
-    return R is not None and R[2] == 0
+    return Q is not None and intfactor._ec_multiple(r, *Q, a, q) is None
 
 
 def step_holds_with_bound(q, a, b, m, r, P, bound) -> bool:
@@ -981,6 +1000,72 @@ def chernick_carmichael(k0: int) -> int:
     return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
 
 
+def naive_multiples(P, a: int, p: int) -> list:
+    """[O, P, 2P, ..., (o - 1)P] for P of order o on y^2 = x^3 + a*x + b over
+    F_p, p prime, by the textbook affine law with Fermat inverses; None is O."""
+    multiples, Q = [None], P
+    while Q is not None:
+        multiples.append(Q)
+        (x1, y1), (x2, y2) = Q, P
+        if x1 == x2 and (y1 + y2) % p == 0:
+            Q = None
+            continue
+        if Q == P:
+            slope = (3 * x1 * x1 + a) * pow(2 * y1, p - 2, p) % p
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        x3 = (slope * slope - x1 - x2) % p
+        Q = (x3, (slope * (x1 - x3) - y1) % p)
+    return multiples
+
+
+def random_curve_points(q: int, rng: random.Random, count: int):
+    """(a, P) for `count` random points P = (x, y) mod q with b = y^2 - x^3 - a*x
+    nonsingular modulo every prime below 200 that divides q."""
+    found = 0
+    while found < count:
+        a, x, y = rng.randrange(q), rng.randrange(q), rng.randrange(q)
+        b = (y * y - x**3 - a * x) % q
+        if all((4 * a**3 + 27 * b * b) % p for p in full_array_sieve(200) if q % p == 0):
+            found += 1
+            yield a, (x, y)
+
+
+class TestAffineGroupLaw:
+    """_ec_multiple, the group law under every ECPP step, against the textbook law."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 199])
+    def test_every_multiple_matches_mod_a_prime(self, p):
+        for a, P in random_curve_points(p, random.Random(p), 8):
+            multiples = naive_multiples(P, a, p)
+            for k in range(1, len(multiples) + 1):
+                assert intfactor._ec_multiple(k, *P, a, p) == multiples[k % len(multiples)], (p, a, P, k)
+
+    def test_a_composite_modulus_raises_or_reduces_mod_each_prime(self):
+        # over Z/(p1 p2) every call either raises ValueError, which shows the
+        # modulus composite, or returns a point that reduces to k * P mod both
+        # primes; None only where k * P is O mod both
+        outcomes = set()
+        for p1, p2 in [(5, 7), (7, 13), (11, 17), (13, 19), (23, 29), (37, 41)]:
+            q = p1 * p2
+            for a, P in random_curve_points(q, random.Random(q), 8):
+                tables = [naive_multiples((P[0] % p, P[1] % p), a % p, p) for p in (p1, p2)]
+                for k in range(1, math.lcm(*map(len, tables)) + 1):
+                    want = [table[k % len(table)] for table in tables]
+                    try:
+                        got = intfactor._ec_multiple(k, *P, a, q)
+                    except ValueError as error:
+                        outcomes.add("equal x" if "equal x" in str(error) else "no unit")
+                        continue
+                    if got is None:
+                        outcomes.add("O")
+                        assert want == [None, None], (q, a, P, k)
+                    else:
+                        outcomes.add("affine")
+                        assert [(got[0] % p, got[1] % p) for p in (p1, p2)] == want, (q, a, P, k)
+        assert outcomes == {"equal x", "no unit", "O", "affine"}
+
+
 class TestECPP:
     """The Atkin-Morain chain that proves primes past the Miller-Rabin bound."""
 
@@ -1015,10 +1100,8 @@ class TestECPP:
         assert intfactor._ecpp_step_holds(q, a, b, m, r, P)
 
     def test_peel_gives_up_within_the_nodes(self, monkeypatch):
-        # the 280-bit probable prime of level 139 of census -d 1 -a 2,1
-        q = 1373598218259996285644462524008538599438107346003212393523675170048618217618375922993
         calls = self.rho_spy(monkeypatch)
-        assert certify_prime(q) is None
+        assert certify_prime(LEVEL_139_PRIME) is None
         assert 0 < len(calls) <= intfactor._ECPP_MAX_NODES
 
     def test_chain_steps_link_and_hold(self):
@@ -1072,6 +1155,13 @@ class TestECPP:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == mutation_verdicts()
 
+    def test_point_that_k_sends_to_o_is_rejected(self):
+        # k * (r * P) = m * P = O, and r * O = O: only "k * P is affine" refuses it
+        q, _, a, b, m, r, P = ecpp_step(CENSUS_GAUSS_PRIMES[-1])
+        killed = intfactor._ec_multiple(r, *P, a, q)
+        assert killed is not None and intfactor._ec_multiple(m // r, *killed, a, q) is None
+        assert intfactor._ecpp_step_holds(q, a, b, m, r, killed) is False
+
     def test_semiprimes_yield_no_step(self):
         rng = random.Random(60)
         for _ in range(4):
@@ -1091,7 +1181,7 @@ class TestECPP:
     def test_order_prime_to_one_factor_only_is_caught(self):
         # y^2 = x^3 + x has p + 1 points mod a prime p = 3 mod 4, so with
         # n = p1 * p2 and m = (p1 + 1) * (p2 + 1), (m / r) * P is O mod p1 but
-        # not mod p2: its Z has the factor p1, and the checker must refuse it
+        # not mod p2: a slope's denominator meets p1, and the checker must refuse it
         p1 = next_prime(2**40)
         while p1 % 4 != 3:
             p1 = next_prime(p1)
@@ -1109,7 +1199,8 @@ class TestECPP:
                 break
         y = (y1 * p2 * pow(p2, -1, p1) + y2 * p1 * pow(p1, -1, p2)) % n
         m = (p1 + 1) * (p2 + 1)
-        assert intfactor._ec_multiple(m // r, x, y, 1, n) is None
+        with pytest.raises(ValueError):
+            intfactor._ec_multiple(m // r, x, y, 1, n)
         assert intfactor._ecpp_step_holds(n, 1, 0, m, r, (x, y)) is False
 
     def test_bound_exceeds_the_theorem_bound(self):
@@ -1124,6 +1215,23 @@ class TestECPP:
         intfactor._ecpp_strip_product.cache_clear()
         assert intfactor._ecpp_strip_product() == math.prod(full_array_sieve(2**16))
         assert primes_up_to.cache_info().currsize == 0
+
+
+def test_ecpp_chains_keep_their_captured_steps():
+    # the chains of the census-gauss primes, the peeled 139-bit prime and the
+    # sympy sample of TestECPP, captured by tests/data/capture_ecpp_chains.py
+    with open(Path(__file__).parent / "data" / "ecpp_chain_table.json") as handle:
+        rows = json.load(handle)["rows"]
+    assert len(rows) == 20
+    assert [row["q"] for row in rows if row["chain"] is None] == [LEVEL_139_PRIME]
+    for row in rows:
+        chain = intfactor._ecpp_chain(row["q"])
+        if row["chain"] is None:
+            assert chain is None, row["q"]
+            continue
+        assert len(chain) == len(row["chain"]), row["q"]
+        for step, stored in zip(chain, row["chain"]):
+            assert [*step[:6], list(step[6])] == stored, row["q"]
 
 
 def test_workload_factorizations_keep_their_captured_results():
