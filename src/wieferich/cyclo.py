@@ -208,18 +208,14 @@ class CycloFactorCache:
         The parent evaluates each Phi_d(a).  workers.fork_map runs level(d)
         over them largest norm first (Graham's longest-processing-time rule),
         each level as soon as a worker is free, with at most one worker per
-        norm above trial_limit**2 (which trial division alone cannot finish),
-        and the levels the workers finished are kept.  Any other level,
-        whether its job raised, its worker died or nothing forked, is left to
-        level(d) in-process, so every level and every exception is the one
-        level(d) gives without this call.
+        norm above trial_limit**2 (which trial division alone cannot finish).
+        Every level and every exception is the one level(d) gives in-process.
         """
         closure = {d for n in levels for d in divisors(n)} - self._levels.keys()
         norms = {d: self.value(d).abs_norm() for d in closure}
         large = sum(nm > self.budget.trial_limit**2 for nm in norms.values())
         order = sorted(norms, key=norms.get, reverse=True)
-        done = workers.fork_map(self.level, [(d,) for d in order], large)
-        self._levels.update((order[i], level) for i, level in done.items())
+        self._levels.update(zip(order, workers.fork_map(self.level, order, large)))
 
     def sweep(self, n_max: int) -> list[Decomposition]:
         """Decompositions of levels 1..n_max; each level is decomposed once per cache."""

@@ -10,8 +10,7 @@ class, with every claimed property re-checked at emission time.
 
 The Wieferich scan makes one pass over a segmented sieve, so its memory stays
 flat as the bound grows; a long scan hands its segments to workers.fork_map,
-as the census does with its levels, scans in-process any segment no worker
-finished and joins their hits in order.  An odd p prime to the discriminant D
+as the census does with its levels.  An odd p prime to the discriminant D
 splits or stays inert as (D/p) is 1 or -1, a character mod |D| since D is
 fundamental, so each segment makes one Euler test per class of p mod |D|.
 A split p, p = 2 and p | D are sorted by the roots of the generator's
@@ -44,7 +43,7 @@ from .ideals import (
     residue_order,
     residue_pow,
 )
-from .intfactor import _SIEVE_SEGMENT, FactorBudget, _prime_stream, primes_up_to
+from .intfactor import _SIEVE_SEGMENT, FactorBudget, _prime_stream, as_index, primes_up_to
 from .qfield import BaseClass, InvariantViolation, QuadInt, _pair_pow, classify_base
 
 
@@ -176,9 +175,8 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
     with norm 1 mod k on the way out.
 
     Before the sweep, cache.factor_levels factors the levels k*m and their
-    divisor levels in forked workers, which have exited before the sweep
-    starts; the sweep factors in-process any level they did not finish.  The
-    result, failures included, is the one-CPU result, byte for byte.
+    divisor levels, in forked workers where it can.  The result, failures
+    included, is the one-CPU result, byte for byte.
     """
     bucket = classify_base(a)
     if bucket not in (BaseClass.SMALL, BaseClass.ELIGIBLE):
@@ -188,9 +186,9 @@ def census(a: QuadInt, k: int, n_max: int, budget: FactorBudget | None = None,
         )
     if strategy not in (STRATEGY_ALL_LEVELS, STRATEGY_PRIME_LEVELS):
         raise ValueError(f"unknown census strategy {strategy!r}")
-    if n_max < 1:
+    if (n_max := as_index(n_max, "n_max")) < 1:
         raise ValueError("n_max must be >= 1")
-    if k < 1:
+    if (k := as_index(k, "k")) < 1:
         raise ValueError("progression modulus must be >= 1")
     result = CensusResult(a, k, n_max, strategy)
     if bucket is BaseClass.SMALL:
@@ -311,20 +309,19 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
     _wieferich_kernel decides every place, one sieve segment at a time, and
     only the hits get a report, whose verdict comes from is_wieferich_place.
 
-    When the bound spans two whole segments, the segments are jobs for
-    workers.fork_map, at most one worker each.  The parent joins the hits
-    and counts in segment order, and scans in-process any segment no worker
-    finished: its job raised, its worker died or nothing forked.  The result
-    is the same either way.
+    When the bound spans two whole segments, the segment starts are jobs
+    for workers.fork_map, at most one worker each, and the parent joins the
+    hits and counts in segment order.
     """
-    if p_bound < 2:
+    if (p_bound := as_index(p_bound, "p_bound")) < 2:
         raise ValueError("p_max must be >= 2")
     width = 2 * _SIEVE_SEGMENT
-    # each stream is sieved where it is consumed: in a worker, or here
-    jobs = [(a, _prime_stream(min(lo + width - 1, p_bound), start=lo))
-            for lo in range(1, p_bound + 1, width)]
-    done = workers.fork_map(_wieferich_kernel, jobs, len(jobs) if p_bound >= 2 * width else 0)
-    parts = [done[i] if i in done else _wieferich_kernel(*job) for i, job in enumerate(jobs)]
+    starts = range(1, p_bound + 1, width)
+
+    def segment(lo: int) -> tuple[list[PrimeIdeal], int]:
+        return _wieferich_kernel(a, _prime_stream(min(lo + width - 1, p_bound), start=lo))
+
+    parts = workers.fork_map(segment, starts, len(starts) if p_bound >= 2 * width else 0)
     found = [P for hits, _ in parts for P in hits]
     tested = sum(count for _, count in parts)
     hits = [place_report(P, a, budget) for P in found]

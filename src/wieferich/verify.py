@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .cyclo import CycloFactorCache, divisors, euler_phi
 from .ideals import KIND_RAMIFIED, BudgetExhausted, _order_dividing, factor_principal, residue_pow
-from .intfactor import FactorBudget, padic_valuation, small_factors
+from .intfactor import FactorBudget, as_index, padic_valuation, small_factors
 from .places import is_wieferich_place
 from .qfield import BaseClass, FieldSpec, QuadInt, classify_base, is_squarefree
 
@@ -447,7 +447,7 @@ def run_full_verification(a: QuadInt, n_max: int,
     bucket = classify_base(a)
     if bucket in (BaseClass.ZERO, BaseClass.ROOT_OF_UNITY):
         raise ValueError("verification sweeps need a base of magnitude above 1")
-    if n_max < 1:
+    if (n_max := as_index(n_max, "n_max")) < 1:
         raise ValueError("n_max must be >= 1")
     cache = CycloFactorCache(a, budget)
     result = FullVerification(a, n_max)

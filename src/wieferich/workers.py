@@ -1,16 +1,14 @@
 """One fork work queue for the CPUs of the affinity mask.
 
-fork_map runs fn(*job) for a list of jobs in forked workers, built on
+fork_map runs fn(job) for a sequence of jobs in forked workers, built on
 os.fork, os.pipe, pickle and select alone: importing multiprocessing or
 concurrent.futures would add about 2 MiB of resident memory to every run,
 forked or not.  The workers inherit fn and the jobs through the fork, so only
 a job's index goes to a worker and only its pickled result comes back.
 pickle, select and signal are imported on the first fork, so a run that
-never forks does not load them.
-
-This module alone decides whether and how wide to fork: a caller names a
-cap, and runs in-process every job missing from the result, so the result
-of the whole is the one-process result whatever the workers did.
+never forks does not load them.  This module alone decides whether and how
+wide to fork, and runs in-process every job no worker finished: a caller
+names a cap and gets the one-process result whatever the workers did.
 """
 
 from __future__ import annotations
@@ -37,52 +35,52 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_map(fn: Callable, jobs: Sequence[tuple], most: int) -> dict[int, object]:
-    """{i: fn(*jobs[i])} for the jobs that forked workers finished.
+def fork_map(fn: Callable, jobs: Sequence, most: int) -> list:
+    """[fn(job) for job in jobs], in job order, whatever forked.
 
     min(most, usable_cpus(), len(jobs)) workers start, and none below two.
     Jobs go out in the given order, each to whichever worker is free.  A job
-    that raises ends its worker, as a job whose worker dies does; both are
-    left out, as is a job no worker reached, and the caller runs them
-    in-process: when no worker starts, the result is empty.  Each worker
-    ignores SIGINT, which the parent handles, and exits soon after the parent
-    dies.  On any exception in the parent the workers are killed, and all
-    have exited when this returns.
+    that raises ends its worker, as a job whose worker dies does.  Once all
+    workers have exited, each job no worker finished runs in-process, in job
+    order, so a failing job raises here as it does when nothing forks.  Each
+    worker ignores SIGINT, which the parent handles, and exits soon after the
+    parent dies.  On any exception in the parent the workers are killed.
     """
     count = min(most, usable_cpus(), len(jobs))
-    if count < 2:
-        return {}
-    import signal
+    done: dict[int, object] = {}
+    if count > 1:
+        import signal
 
-    # no worker may replay output still buffered in the parent
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
-    started: list[tuple[int, int, BinaryIO]] = []  # (pid, task write end, replies)
-    try:
-        for _ in range(count):
-            # a SIGINT waits until the worker ignores it and is on the list to kill
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                started.append(_start_worker(fn, jobs, parent, started))
-            except OSError:
-                break  # fewer workers; with none, the caller runs every job
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return _dispatch(jobs, started)
-    except BaseException:
-        # stop the workers now rather than wait for their current jobs
-        for pid, _, _ in started:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, tasks, replies in started:
-            os.close(tasks)  # an idle worker reads end of file and exits
-            replies.close()
-            os.waitpid(pid, 0)
+        # no worker may replay output still buffered in the parent
+        sys.stdout.flush()
+        sys.stderr.flush()
+        parent = os.getpid()
+        started: list[tuple[int, int, BinaryIO]] = []  # (pid, task write end, replies)
+        try:
+            for _ in range(count):
+                # a SIGINT waits until the worker ignores it and is on the list to kill
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    started.append(_start_worker(fn, jobs, parent, started))
+                except OSError:
+                    break  # fewer workers, or none
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            done = _dispatch(jobs, started)
+        except BaseException:
+            # stop the workers now rather than wait for their current jobs
+            for pid, _, _ in started:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, tasks, replies in started:
+                os.close(tasks)  # an idle worker reads end of file and exits
+                replies.close()
+                os.waitpid(pid, 0)
+    return [done[i] if i in done else fn(job) for i, job in enumerate(jobs)]
 
 
-def _dispatch(jobs: Sequence[tuple], started: list[tuple[int, int, BinaryIO]]) -> dict[int, object]:
+def _dispatch(jobs: Sequence, started: list[tuple[int, int, BinaryIO]]) -> dict[int, object]:
     """Hand out job indices to free workers and collect their replies."""
     import pickle
     import select
@@ -108,11 +106,11 @@ def _dispatch(jobs: Sequence[tuple], started: list[tuple[int, int, BinaryIO]]) -
             try:
                 results[index] = pickle.load(replies)
             except (EOFError, pickle.UnpicklingError):
-                continue  # the worker died, and its job is left out
+                continue  # the worker died, and its job is left to fork_map
             free.append(worker)
 
 
-def _start_worker(fn: Callable, jobs: Sequence[tuple], parent: int,
+def _start_worker(fn: Callable, jobs: Sequence, parent: int,
                   others: list[tuple[int, int, BinaryIO]]) -> tuple[int, int, BinaryIO]:
     """Fork one worker; the child never returns from here."""
     import pickle
@@ -142,7 +140,7 @@ def _start_worker(fn: Callable, jobs: Sequence[tuple], parent: int,
         threading.Thread(target=_watch, args=(parent,), daemon=True).start()
         tasks, replies = os.fdopen(task_read, "rb"), os.fdopen(reply_write, "wb")
         while len(task := tasks.read(_INDEX.size)) == _INDEX.size:
-            pickle.dump(fn(*jobs[_INDEX.unpack(task)[0]]), replies)
+            pickle.dump(fn(jobs[_INDEX.unpack(task)[0]]), replies)
             replies.flush()
         code = 0
     finally:

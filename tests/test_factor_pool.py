@@ -2,8 +2,10 @@
 one CPU, the same failures, and no process left behind."""
 
 import contextlib
+import functools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -25,6 +27,7 @@ CENSUS_160 = ["census", "-d", "1", "-a", "2,1", "--n-max", "160"]
 SCANS = {d: ["classify", "-d", str(d), "-a", "2" if d == 0 else "2,1", "--p-max", "200000"]
          for d in (0, 1, 3, 7)}
 SCAN_1E7 = ["classify", "-d", "1", "-a", "2,1", "--p-max", "10000000"]
+SCAN_HUGE = ["classify", "-d", "1", "-a", "2,1", "--p-max", "99999999999999"]
 # a prime of the second sieve segment
 SCAN_TARGET = 100003
 
@@ -287,7 +290,7 @@ def test_workers_return_each_divisor_level_largest_norm_first(pools, forks, monk
     levels = sorted(divisors(12), key=lambda d: cache.value(d).abs_norm(), reverse=True)
     assert levels == [12, 3, 4, 6, 2, 1]
     # every norm but Nm Phi_1(a) = 2 is above trial_limit**2, one worker each at most
-    assert pools == [(cache.level, [(d,) for d in levels], 5)]
+    assert pools == [(cache.level, levels, 5)]
     assert len(forks) == 2
     in_process = {d: ideals.factor_principal(cache.value(d), budget) for d in levels}
 
@@ -301,53 +304,58 @@ def test_workers_return_each_divisor_level_largest_norm_first(pools, forks, monk
 @needs_two_cpus
 @needs_fork
 def test_scan_jobs_are_the_sieve_segments_in_order(pools, forks, gauss_field):
-    """Each worker job runs the kernel on one segment's primes, and the
-    parent joins the segments' hits in order."""
+    """The jobs are the segment starts, each worker job runs the kernel on
+    one segment's primes, and the parent joins the segments' hits in order."""
     from wieferich import places
     from wieferich.intfactor import _SIEVE_SEGMENT, _prime_stream
 
     a = gauss_field.element(2, 1)
     hits, tested = places.scan_wieferich_places(a, 200000)
-    [(fn, jobs, most)] = pools
+    [(segment, starts, most)] = pools
     # at most one worker per segment, and one per CPU of the mask
-    assert fn is places._wieferich_kernel and most == len(jobs) == 4
+    assert starts == list(range(1, 200001, 2 * _SIEVE_SEGMENT)) and most == 4
+    assert segment.__qualname__ == "scan_wieferich_places.<locals>.segment"
     assert len(forks) == 2
-    # the workers consumed their own copies: the parent's streams are untouched
-    assert [base for base, _ in jobs] == [a] * 4
-    segments = [list(primes) for _, primes in jobs]
-    assert [p for segment in segments for p in segment] == list(_prime_stream(200000))
-    assert all(segment[-1] - segment[0] < 2 * _SIEVE_SEGMENT for segment in segments)
-    serial = [places._wieferich_kernel(a, segment) for segment in segments]
+    primes = list(_prime_stream(200000))
+    cut = [[p for p in primes if lo <= p < lo + 2 * _SIEVE_SEGMENT] for lo in starts]
+    serial = [places._wieferich_kernel(a, part) for part in cut]
+    assert [segment(lo) for lo in starts] == serial
     assert [r.place for r in hits] == [P for found, _ in serial for P in found]
     assert tested == sum(count for _, count in serial)
 
 
-def checked_job(n):
-    """n squared; n < 0 raises, n == 0 kills its worker, and n == 1 returns
-    what pickle refuses: each of the three ends its worker."""
+def checked_job(n, parent):
+    """n squared, except in a worker, where n < 0 raises, n == 0 kills the
+    worker, and n == 1 returns what pickle refuses: each of the three ends
+    its worker, and the parent, whose pid is parent, runs the job again."""
+    if os.getpid() == parent or n > 1:
+        return n * n
     if n < 0:
         raise ValueError(f"job {n}")
     if n == 0:
         os._exit(3)
-    return (lambda: None) if n == 1 else n * n
+    return lambda: None
 
 
 @needs_fork
 def test_fork_map_with_more_workers_than_cpus(forks):
     """At most one worker per CPU starts, and none on one CPU.  A job that
-    raises, exits or returns what pickle refuses is left out, and another
-    worker runs every job after it; a job no worker reached is left out too."""
+    raises, exits or returns what pickle refuses ends its worker, and another
+    worker runs every job after it.  Whatever forked, the result is the list
+    of every job's result in job order: the parent runs the jobs no worker
+    finished, those no worker reached included."""
     pooled = CPUS >= 2
+    job = functools.partial(checked_job, parent=os.getpid())
     for failing in (-1, 0, 1):
-        jobs = [(n,) for n in (2, failing, *range(3, 40))]
+        jobs = [2, failing, *range(3, 40)]
         started = time.monotonic()
-        done = workers.fork_map(checked_job, jobs, 2 * CPUS + 1)
+        assert workers.fork_map(job, jobs, 2 * CPUS + 1) == [n * n for n in jobs]
         assert time.monotonic() - started < 30
-        assert done == ({i: n * n for i, (n,) in enumerate(jobs) if n > 1} if pooled else {})
     assert len(forks) == (3 * min(CPUS, len(jobs)) if pooled else 0)
     # a raise ends its worker: one raising job per worker leaves the last job unreached
-    assert workers.fork_map(checked_job, [(-1,)] * CPUS + [(2,)], 2 * CPUS + 1) == {}
-    assert workers.fork_map(checked_job, [], 4) == {}
+    assert workers.fork_map(job, [-1] * CPUS + [2], 2 * CPUS + 1) == [1] * CPUS + [4]
+    assert workers.fork_map(job, [], 4) == []
+    assert workers.fork_map(job, range(5), 4) == [0, 1, 4, 9, 16]
 
 
 def test_cli_import_loads_no_pool_modules():
@@ -434,6 +442,37 @@ def test_sigint_prints_no_worker_traceback(argv):
     assert text.count("Traceback (most recent call last)") == 1, text
     assert text.rstrip().endswith("KeyboardInterrupt")
     assert "ForkProcess" not in text and "_process_worker" not in text
+
+
+@needs_fork
+def test_scan_to_a_huge_bound_starts_in_little_memory():
+    """A scan to p = 10**14 under a 512 MiB address-space limit, set in its
+    own process only, is still scanning after 3 s, with a peak resident size
+    below 100 MiB: no list of its 1.5 billion segments is ever built."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    proc = subprocess.Popen([sys.executable, "-m", "wieferich.cli", *SCAN_HUGE], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=package_env(), start_new_session=True,
+                            preexec_fn=limit)
+    proc_fs = Path("/proc/self/stat").exists()
+    try:
+        time.sleep(3)
+        assert proc.poll() is None, proc.communicate(timeout=30)[1].decode()
+        if proc_fs:
+            status = Path(f"/proc/{proc.pid}/status").read_text()
+            peak_kib = int(re.search(r"^VmHWM:\s+(\d+) kB$", status, re.M).group(1))
+            assert peak_kib < 100 << 10
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.wait(timeout=30)
+        if proc_fs:
+            assert_group_empties(proc.pid)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate(timeout=30)
 
 
 @needs_two_cpus

@@ -1,6 +1,7 @@
 """Wieferich classification, the census, and its first-occurrence bookkeeping."""
 
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 from math import gcd
 
@@ -107,6 +108,14 @@ class TestWieferichTest:
                 tracemalloc.stop()
             assert [r.place.p for r in hits] == [1093, 3511]
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_scan_bound_reads_as_an_index(self, gauss_field):
+        a = gauss_field.element(2, 1)
+        for value in (1e5, Fraction(10**5), "100000"):
+            with pytest.raises(TypeError, match="p_bound must be an integer"):
+                scan_wieferich_places(a, value)
+        with pytest.raises(ValueError, match="p_max must be >= 2"):
+            scan_wieferich_places(a, True)
 
     def test_scan_finds_norm_17_example(self, gauss_field):
         # (2+i)**16 == 1 mod (17, split, 4)**2: substituting the lifted root 38
@@ -410,6 +419,17 @@ class TestCensus:
             census(gauss_field.element(0, 1), 1, 5)
         with pytest.raises(ValueError):
             census(gauss_field.zero(), 1, 5)
+
+    def test_k_and_n_max_read_as_indices(self, base_2i):
+        # a bool k once reached the summary as true, and a float n_max failed
+        # with a TypeError that named no argument
+        summary = census(base_2i, True, 3).summary()
+        assert type(summary["k"]) is int and summary == census(base_2i, 1, 3).summary()
+        for value in (10.0, Fraction(10), "10"):
+            with pytest.raises(TypeError, match="n_max must be an integer"):
+                census(base_2i, 2, value)
+            with pytest.raises(TypeError, match="k must be an integer"):
+                census(base_2i, value, 10)
 
     def test_summary_shape(self, base_2i):
         result = census(base_2i, 1, 8)

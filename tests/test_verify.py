@@ -441,3 +441,10 @@ class TestFullVerification:
     def test_rejects_empty_level_range(self, base_2i):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             run_full_verification(base_2i, 0)
+
+    def test_n_max_reads_as_an_index(self, base_2i):
+        for value in (6.0, Fraction(6), "6"):
+            with pytest.raises(TypeError, match="n_max must be an integer"):
+                run_full_verification(base_2i, value)
+        outcome = run_full_verification(base_2i, True)
+        assert type(outcome.n_max) is int and outcome.as_dict() == run_full_verification(base_2i, 1).as_dict()
