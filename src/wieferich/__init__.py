@@ -32,7 +32,6 @@ from .ideals import (
     primes_above,
     residue_order,
     residue_pow,
-    residue_reduce,
 )
 from .intfactor import FactorBudget, FactorResult, certify_prime, factorize, is_probable_prime
 from .places import (
@@ -117,7 +116,6 @@ __all__ = [
     "primes_above",
     "residue_order",
     "residue_pow",
-    "residue_reduce",
     "run_full_verification",
     "scan_wieferich_places",
     "totient_density_constant",

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--prime", type=int, default=None,
                             help="classify every place above this rational prime")
     p_classify.add_argument("--p-max", type=int, default=None,
-                            help="scan all places of residue characteristic up to this bound")
+                            help="scan all places of residue characteristic up to this bound (below 2**64)")
 
     p_decompose = commands.add_parser("decompose", parents=[field, base, budget, output],
                                       help="squarefree/powerful split of (a^n - 1) and its level slice")

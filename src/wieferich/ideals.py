@@ -11,9 +11,9 @@ element's norm demands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
-from .intfactor import FactorBudget, certify_prime, factorize, padic_valuation, sqrt_mod_prime
+from .intfactor import FactorBudget, as_index, certify_prime, factorize, padic_valuation, sqrt_mod_prime
 from .qfield import FieldSpec, InvariantViolation, QuadInt
 
 KIND_SPLIT = "split"
@@ -39,6 +39,11 @@ class PrimeIdeal:
     t: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", as_index(self.p, "p"))
+        if self.p < 2:
+            raise ValueError(f"p must be a prime >= 2, got {self.p}")
+        if self.t is not None:
+            object.__setattr__(self, "t", as_index(self.t, "t"))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown prime kind {self.kind!r}")
         if (self.kind == KIND_RATIONAL) != self.field.is_rational:
@@ -156,7 +161,7 @@ def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
         return full // 2
     if P.kind == KIND_RAMIFIED:
         return full
-    residue = residue_reduce(P, gamma, full)
+    residue = residue_pow(gamma, 1, P, full)
     return full if residue == 0 else padic_valuation(residue, p)
 
 
@@ -179,17 +184,8 @@ def _residue_model(P: PrimeIdeal, m: int) -> tuple[int, int | None]:
     raise ValueError("odd precision above 1 at a ramified prime has no plain integer model")
 
 
-def residue_reduce(P: PrimeIdeal, gamma: QuadInt, m: int = 1):
-    """Canonical image of gamma in O/P^m (int, or coordinate pair)."""
-    _check_field(P, gamma)
-    mod, root = _residue_model(P, m)
-    if root is None:
-        return (gamma.x % mod, gamma.y % mod)
-    return (gamma.x + gamma.y * root) % mod
-
-
 def residue_pow(a: QuadInt, e: int, P: PrimeIdeal, m: int = 1):
-    """a**e in O/P^m, in the canonical encoding of residue_reduce."""
+    """a**e in O/P^m, an int or a coordinate pair as _residue_model says; e = 1 reduces a."""
     if e < 0:
         raise ValueError("exponent must be >= 0")
     _check_field(P, a)
@@ -201,7 +197,7 @@ def residue_pow(a: QuadInt, e: int, P: PrimeIdeal, m: int = 1):
 
 
 def is_unit_mod(P: PrimeIdeal, a: QuadInt) -> bool:
-    return residue_reduce(P, a, 1) not in (0, (0, 0))
+    return residue_pow(a, 1, P) not in (0, (0, 0))
 
 
 def _order_dividing(P: PrimeIdeal, a: QuadInt, multiple: int, primes) -> int:
@@ -218,8 +214,6 @@ def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None)
     if not is_unit_mod(P, a):
         raise ValueError(f"{a} is not a unit modulo {P.label()}")
     group_size = P.norm - 1
-    if group_size == 0:
-        return 1
     budget = budget or FactorBudget()
     # trial division to past sqrt(group_size) already completes the factorization;
     # the power of two bounds the sieve limits primes_up_to caches
@@ -230,6 +224,7 @@ def residue_order(P: PrimeIdeal, a: QuadInt, budget: FactorBudget | None = None)
     return _order_dividing(P, a, group_size, decomposition.factors)
 
 
+@dataclass(slots=True)
 class IdealFactorization:
     """A nonzero integral ideal as known prime exponents plus an unfactored tail.
 
@@ -238,12 +233,13 @@ class IdealFactorization:
     objects multiply exponents and cofactors independently.
     """
 
-    __slots__ = ("field", "exponents", "cofactor")
+    field: FieldSpec
+    exponents: dict[PrimeIdeal, int] = dc_field(default_factory=dict)
+    cofactor: int = 1
 
-    def __init__(self, field: FieldSpec, exponents: dict[PrimeIdeal, int] | None = None, cofactor: int = 1):
-        self.field = field
-        self.exponents = {P: e for P, e in (exponents or {}).items() if e}
-        self.cofactor = int(cofactor)
+    def __post_init__(self) -> None:
+        self.exponents = {P: e for P, e in self.exponents.items() if e}
+        self.cofactor = as_index(self.cofactor, "cofactor")
         if any(e < 0 for e in self.exponents.values()) or self.cofactor < 1:
             raise ValueError("ideal exponents and cofactor must be nonnegative")
 
@@ -261,13 +257,6 @@ class IdealFactorization:
         out = self.cofactor
         for P, e in self.exponents.items():
             out *= P.norm**e
-        return out
-
-    def norm_radical(self) -> int:
-        """Norm of the radical of the known part (cofactor excluded)."""
-        out = 1
-        for P in self.exponents:
-            out *= P.norm
         return out
 
     def mul(self, other: IdealFactorization) -> IdealFactorization:
@@ -301,14 +290,6 @@ class IdealFactorization:
 
     def powerful_part(self) -> IdealFactorization:
         return self.restrict(lambda P, e: e >= 2)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdealFactorization)
-            and self.field == other.field
-            and self.exponents == other.exponents
-            and self.cofactor == other.cofactor
-        )
 
     def __repr__(self) -> str:
         body = " * ".join(

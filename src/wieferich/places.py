@@ -311,10 +311,13 @@ def scan_wieferich_places(a: QuadInt, p_bound: int,
 
     When the bound spans two whole segments, the segment starts are jobs
     for workers.fork_map, at most one worker each, and the parent joins the
-    hits and counts in segment order.
+    hits and counts in segment order.  A bound of 2**64 or more is refused:
+    no scan that long can finish, and below it len() of the starts fits a ssize_t.
     """
     if (p_bound := as_index(p_bound, "p_bound")) < 2:
         raise ValueError("p_max must be >= 2")
+    if p_bound >= 2**64:
+        raise ValueError("p_max must be below 2**64")
     width = 2 * _SIEVE_SEGMENT
     starts = range(1, p_bound + 1, width)
 

@@ -21,9 +21,6 @@ from functools import cached_property
 
 from .intfactor import as_index, factorize
 
-BASIS_SQRT = "sqrt"
-BASIS_HALF = "half"
-
 
 class InexactDivisionError(ArithmeticError):
     """Requested ring quotient does not exist (divisor does not divide)."""
@@ -70,27 +67,19 @@ class FieldSpec:
         return 1 if self.is_rational else 2
 
     @cached_property
-    def basis_kind(self) -> str | None:
-        if self.is_rational:
-            return None
-        return BASIS_HALF if self.d % 4 == 3 else BASIS_SQRT
-
-    @cached_property
     def discriminant(self) -> int:
         if self.is_rational:
             return 1
-        return -self.d if self.d % 4 == 3 else -4 * self.d
+        return -self.d if self.omega_trace else -4 * self.d
 
     # w satisfies w^2 = omega_trace*w - omega_norm; rational mode has 0 and 0
     @cached_property
     def omega_trace(self) -> int:
-        return 1 if self.basis_kind == BASIS_HALF else 0
+        return int(self.d % 4 == 3)
 
     @cached_property
     def omega_norm(self) -> int:
-        if self.is_rational:
-            return 0
-        return (1 + self.d) // 4 if self.basis_kind == BASIS_HALF else self.d
+        return (1 + self.d) // 4 if self.omega_trace else self.d
 
     def omega_name(self) -> str:
         if self.is_rational:
@@ -98,7 +87,7 @@ class FieldSpec:
         if self.d == 1:
             return "i"
         root = f"sqrt(-{self.d})"
-        return root if self.basis_kind == BASIS_SQRT else f"(1+{root})/2"
+        return f"(1+{root})/2" if self.omega_trace else root
 
     def element(self, x: int, y: int = 0) -> QuadInt:
         return QuadInt(as_index(x, "x"), as_index(y, "y"), self)
@@ -130,7 +119,7 @@ class FieldSpec:
             "mode": "imaginary-quadratic",
             "d": self.d,
             "discriminant": self.discriminant,
-            "basis_kind": self.basis_kind,
+            "basis_kind": "half" if self.omega_trace else "sqrt",
             "omega": self.omega_name(),
             "integral_basis": ["1", self.omega_name()],
             "degree": 2,
@@ -286,25 +275,18 @@ class BaseClass(enum.Enum):
     ELIGIBLE = "eligible"
 
 
-def embedding_magnitude_sq(a: QuadInt) -> int:
-    """min over embeddings sigma of |sigma(a)|^2, exactly.
-
-    In imaginary quadratic mode the two embeddings are complex conjugates, so
-    this is the norm.  In rational mode the single embedding is the identity
-    and the value is a^2 (the degree-1 norm is signed and not a magnitude).
-    """
-    return a.x * a.x if a.field.is_rational else a.norm()
-
-
 def classify_base(a: QuadInt) -> BaseClass:
     """zero / root-of-unity / small (magnitude^2 in {2,3}) / eligible (>= 4).
 
-    Eligible matches min |sigma(a)| >= 2, the threshold the progression
-    census needs; small bases still support the plain census pipeline.
+    The magnitude^2 is the exact min over embeddings sigma of |sigma(a)|^2:
+    the norm in imaginary quadratic mode, whose two embeddings are complex
+    conjugates, and a^2 in rational mode (the degree-1 norm is signed and not
+    a magnitude).  Eligible matches min |sigma(a)| >= 2, the threshold the
+    progression census needs; small bases still support the plain census pipeline.
     """
     if a.is_zero:
         return BaseClass.ZERO
-    m = embedding_magnitude_sq(a)
+    m = a.x * a.x if a.field.is_rational else a.norm()
     if m == 1:
         return BaseClass.ROOT_OF_UNITY
     if m <= 3:

@@ -342,7 +342,7 @@ def abc_quality(alpha: QuadInt, beta: QuadInt, budget: FactorBudget | None = Non
     if not (fa.complete and fb.complete):
         raise BudgetExhausted("quality needs complete factorizations of both elements")
     max_norm = max(alpha.abs_norm(), beta.abs_norm(), total.abs_norm())
-    radical_product = fa.norm_radical() * fb.norm_radical()
+    radical_product = math.prod(P.norm for P in (*fa.exponents, *fb.exponents))
     deg = alpha.field.degree
     quality = None
     if radical_product > 1:

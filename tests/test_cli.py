@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wieferich import cli
+from wieferich import cli, workers
 
 
 def run_cli(args, capsys):
@@ -167,6 +167,14 @@ class TestClassifyCommand:
         code, out, err = run_cli(["classify", "-d", "1", "-a", "2,1", f"--p-max={p_max}"], capsys)
         assert code == 1
         assert err == "error: p_max must be >= 2\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("p_max", [str(2**64), "1" + "0" * 30])
+    def test_scan_bound_past_the_cap_is_usage_error(self, capsys, monkeypatch, p_max):
+        monkeypatch.setattr(workers, "fork_map", lambda *args: pytest.fail("the scan started"))
+        code, out, err = run_cli(["classify", "-d", "1", "-a", "2,1", "--p-max", p_max], capsys)
+        assert code == 1
+        assert err == "error: p_max must be below 2**64\n"
         assert out == ""
 
     def test_prime_and_pmax_conflict(self, capsys):

@@ -6,6 +6,8 @@ omega**2 = trace*omega - norm reduced naively; orders come from stepping
 powers one by one.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,12 +20,12 @@ from wieferich import (
     KIND_RAMIFIED,
     KIND_RATIONAL,
     KIND_SPLIT,
+    PrimeIdeal,
     element_valuation,
     factor_principal,
     primes_above,
     residue_order,
     residue_pow,
-    residue_reduce,
 )
 from wieferich import cli, ideals
 from wieferich.ideals import lifted_root, sqrt_mod_prime
@@ -114,6 +116,19 @@ class TestSplitting:
         # 2**127 - 1 is 3 mod 4, so inert in Z[i]; ECPP proves it
         (P,) = primes_above(gauss_field, 2**127 - 1)
         assert P.kind == KIND_INERT and P.p == 2**127 - 1
+
+    def test_prime_ideal_reads_p_and_t_as_indices(self, gauss_field, rational_field):
+        with pytest.raises(ValueError, match="p must be a prime >= 2"):
+            PrimeIdeal(rational_field, 0, KIND_RATIONAL)
+        with pytest.raises(ValueError, match="p must be a prime >= 2"):
+            PrimeIdeal(gauss_field, 1, KIND_INERT)
+        with pytest.raises(TypeError, match="p must be an integer"):
+            PrimeIdeal(gauss_field, 5.0, KIND_INERT)
+        with pytest.raises(TypeError, match="t must be an integer"):
+            PrimeIdeal(gauss_field, 5, KIND_SPLIT, 2.0)
+        P = PrimeIdeal(gauss_field, 5, KIND_SPLIT, True)
+        assert (P.label(), P.norm) == ("(5,split,1)", 5)
+        assert type(P.t) is int
 
     def test_unproved_probable_prime_is_refused(self, gauss_field, monkeypatch, capsys):
         p = 2**127 - 1
@@ -217,9 +232,9 @@ class TestResidues:
         P = primes_above(gauss_field, 5)[0]
         assert (P.kind, P.t) == (KIND_SPLIT, 2)
         a = gauss_field.element(2, 1)
-        assert residue_reduce(P, a) == (2 + 1 * 2) % 5
+        assert residue_pow(a, 1, P) == (2 + 1 * 2) % 5
         t2 = lifted_root(P, 2)
-        assert residue_reduce(P, a, 2) == (2 + 1 * t2) % 25
+        assert residue_pow(a, 1, P, 2) == (2 + 1 * t2) % 25
         assert residue_pow(a, 4, P, 2) == 11
         assert residue_pow(a, 0, P, 2) == 1
 
@@ -252,14 +267,14 @@ class TestResidues:
         assert residue_pow(a, 0, P, 2) == (1, 0)
         assert residue_pow(a, 1, P, 2) == (0, 1)
         with pytest.raises(ValueError):
-            residue_reduce(P, a, 3)
+            residue_pow(a, 1, P, 3)
 
     def test_rejects_an_element_of_another_field(self, gauss_field, d2_field):
         P = primes_above(d2_field, 3)[0]
         a = gauss_field.element(2, 1)
         for m in (1, 2):
             with pytest.raises(ValueError, match="different fields"):
-                residue_reduce(P, a, m)
+                residue_pow(a, 1, P, m)
             with pytest.raises(ValueError, match="different fields"):
                 residue_pow(a, 2, P, m)
 
@@ -275,7 +290,7 @@ class TestResidues:
                     if P.kind == KIND_RAMIFIED or element_valuation(P, a):
                         continue
                     expected = residue_order(P, a)
-                    value = residue_reduce(P, a)
+                    value = residue_pow(a, 1, P)
                     stepped, power = 1, value
                     one = (1, 0) if P.kind == KIND_INERT else 1
                     while power != one:
@@ -396,6 +411,25 @@ class TestIdealFactorization:
             pytest.skip("budget unexpectedly sufficed")
         with pytest.raises(BudgetExhausted):
             ok.gcd(bad)
+
+    def test_record_drops_zero_exponents_and_reads_cofactor_as_index(self, gauss_field):
+        split, other = primes_above(gauss_field, 5)
+        fac = IdealFactorization(gauss_field, {split: 2, other: 0}, 3)
+        assert fac.exponents == {split: 2}
+        assert fac == IdealFactorization(gauss_field, {split: 2}, 3)
+        assert fac != IdealFactorization(gauss_field, {split: 2})
+        with pytest.raises(TypeError, match="cofactor must be an integer"):
+            IdealFactorization(gauss_field, {}, 2.5)
+        for exponents, cofactor in (({split: -1}, 1), ({}, 0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                IdealFactorization(gauss_field, exponents, cofactor)
+
+    def test_pickle_round_trip(self, gauss_field):
+        # census workers send their levels back to the parent by pickle
+        fac = factor_principal(gauss_field.element(10, 1) ** 2 * gauss_field.element(10, 21),
+                               FactorBudget(trial_limit=2, rho_iterations=1))
+        assert fac.cofactor == 541
+        assert pickle.loads(pickle.dumps(fac)) == fac
 
     def test_restrict_and_exponent(self, gauss_field):
         fac = factor_principal(gauss_field.element(3, 1))

@@ -117,6 +117,14 @@ class TestWieferichTest:
         with pytest.raises(ValueError, match="p_max must be >= 2"):
             scan_wieferich_places(a, True)
 
+    def test_scan_bound_is_capped_below_two_to_the_64(self, gauss_field, monkeypatch):
+        # refused before any segment is handed out: a scan that long never ends
+        monkeypatch.setattr(workers, "fork_map", lambda *args: pytest.fail("the scan started"))
+        a = gauss_field.element(2, 1)
+        for bound in (2**64, 10**30, 2**200):
+            with pytest.raises(ValueError, match=r"p_max must be below 2\*\*64"):
+                scan_wieferich_places(a, bound)
+
     def test_scan_finds_norm_17_example(self, gauss_field):
         # (2+i)**16 == 1 mod (17, split, 4)**2: substituting the lifted root 38
         # sends 2+i to 40 mod 289 and 40**16 == 1 mod 289

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from wieferich import BaseClass, FieldSpec, InexactDivisionError, QuadInt, classify_base, is_squarefree
-from wieferich.qfield import BASIS_HALF, BASIS_SQRT, embedding_magnitude_sq
 
 FIELD_DS = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15]
 # d = 0 is the rational mode, whose elements take y = 0
@@ -25,7 +24,7 @@ def doubled(a: QuadInt) -> tuple[int, int, int]:
     F = a.field
     if F.is_rational:
         return 2 * a.x, 0, 0
-    if F.basis_kind == BASIS_SQRT:
+    if F.d % 4 != 3:
         return 2 * a.x, 2 * a.y, F.d
     return 2 * a.x + a.y, a.y, F.d
 
@@ -51,11 +50,9 @@ def ring_element(d: int, x: int, y: int) -> QuadInt:
 
 class TestFieldSpec:
     def test_basis_kinds(self):
-        assert FieldSpec.from_d(1).basis_kind == BASIS_SQRT
-        assert FieldSpec.from_d(2).basis_kind == BASIS_SQRT
-        assert FieldSpec.from_d(3).basis_kind == BASIS_HALF
-        assert FieldSpec.from_d(7).basis_kind == BASIS_HALF
-        assert FieldSpec.from_d(11).basis_kind == BASIS_HALF
+        for d, kind in ((1, "sqrt"), (2, "sqrt"), (3, "half"), (7, "half"), (11, "half")):
+            assert FieldSpec.from_d(d).describe()["basis_kind"] == kind
+        assert "basis_kind" not in FieldSpec.from_d(0).describe()
 
     def test_discriminants(self):
         assert FieldSpec.from_d(1).discriminant == -4
@@ -149,7 +146,7 @@ class TestArithmetic:
         assert (a * c).y == 0
         # a times its conjugate is |sigma(a)|^2: the norm in degree two, x^2 in rational
         # mode, whose norm is the signed x itself
-        assert (a * c).x == embedding_magnitude_sq(a)
+        assert (a * c).x == (a.x * a.x if d == 0 else a.norm())
         assert a.norm() == (a.x if d == 0 else (a * c).x)
 
     @given(small_ints, small_ints, small_ints, small_ints, st.sampled_from(FIELD_DS))

@@ -32,7 +32,6 @@ from wieferich import (
     primes_above,
     run_full_verification,
 )
-from wieferich.qfield import BASIS_HALF
 from wieferich import verify
 from wieferich.verify import bound_trend_report
 
@@ -46,8 +45,7 @@ EXACT_SANDWICH_BASES = [*(2 + Fraction(8 * i, 19) for i in range(20)), *SANDWICH
 
 def brute_norm_le_3(d):
     """Direct lattice scan with the norm form, independent of the package path."""
-    field = FieldSpec.from_d(d)
-    half = field.basis_kind == BASIS_HALF
+    half = d % 4 == 3
     out = set()
     for x in range(-8, 9):
         for y in range(-8, 9):
