@@ -16,7 +16,6 @@ from .cyclo import (
     divisors,
     euler_phi,
     high_totient_count,
-    mobius,
     totient_density_constant,
 )
 from .ideals import (
@@ -111,7 +110,6 @@ __all__ = [
     "is_probable_prime",
     "is_squarefree",
     "is_wieferich_place",
-    "mobius",
     "place_report",
     "primes_above",
     "residue_order",

@@ -44,11 +44,6 @@ def euler_phi(n: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in small_factors(n).items())
 
 
-def mobius(n: int) -> int:
-    factors = small_factors(n)
-    return 0 if any(e > 1 for e in factors.values()) else (-1) ** len(factors)
-
-
 def totient_sieve(limit: int) -> list[int]:
     """phi(0..limit) with phi(0) = 0, by the standard multiplicative sieve."""
     limit = as_index(limit, "limit")

@@ -3,9 +3,11 @@
 A prime ideal is recorded as (p, kind, t): the rational prime below it, how p
 decomposes (split / inert / ramified, or the degenerate rational kind), and
 for kinds with residue degree one the root t of the generator's minimal
-polynomial mod p that pins down which prime above p is meant.  Valuations at
-split primes use Newton lifting of t to exactly the p-adic precision the
-element's norm demands.
+polynomial mod p that pins down which prime above p is meant.  At a split p,
+gamma = x + y*w over p**k, k = v_p(gcd(x, y)), lies in at most one place over
+p, or p would divide it; so v_P(gamma) is v_p(Nm gamma) - k when that
+quotient lies in P, and k otherwise.  Residues are taken mod P and P**2 only,
+with the root t lifted to p**2 by one Newton step at a split P.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class PrimeIdeal:
         if self.kind in (KIND_SPLIT, KIND_RAMIFIED):
             if self.t is None or not 0 <= self.t < self.p:
                 raise ValueError(f"kind {self.kind} needs a root t in [0, p)")
+            if (self.t * self.t - self.field.omega_trace * self.t + self.field.omega_norm) % self.p:
+                raise ValueError(f"t = {self.t} is no root of the minimal polynomial mod {self.p}")
         elif self.t is not None:
             raise ValueError(f"kind {self.kind} carries no root parameter")
 
@@ -120,21 +124,10 @@ def primes_above(field: FieldSpec, p: int) -> tuple[PrimeIdeal, ...]:
     return _places_over(field, p)
 
 
-def lifted_root(P: PrimeIdeal, precision: int) -> int:
-    """Newton-lift P's simple root t of x^2 - trace*x + norm mod p to mod p**precision."""
-    if P.kind != KIND_SPLIT:
-        raise ValueError("root lifting applies to split primes only")
-    trace, nm, p = P.field.omega_trace, P.field.omega_norm, P.p
-    root = P.t
-    prec = 1
-    while prec < precision:
-        prec = min(2 * prec, precision)
-        mod = p**prec
-        fval = (root * root - trace * root + nm) % mod
-        # derivative 2t - trace is a unit mod p exactly because the root is simple
-        fder = (2 * root - trace) % mod
-        root = (root - fval * pow(fder, -1, mod)) % mod
-    return root
+def _lift_root(field: FieldSpec, p: int, t: int) -> int:
+    """The simple root t of w**2 - T*w + N mod p, lifted to p**2 by one Newton step."""
+    trace = field.omega_trace
+    return (t - (t * t - trace * t + field.omega_norm) * pow(2 * t - trace, -1, p)) % (p * p)
 
 
 def _check_field(P: PrimeIdeal, gamma: QuadInt) -> None:
@@ -161,15 +154,17 @@ def element_valuation(P: PrimeIdeal, gamma: QuadInt) -> int:
         return full // 2
     if P.kind == KIND_RAMIFIED:
         return full
-    residue = residue_pow(gamma, 1, P, full)
-    return full if residue == 0 else padic_valuation(residue, p)
+    k = padic_valuation(math.gcd(gamma.x, gamma.y), p)
+    if (gamma.x + gamma.y * P.t) // p**k % p:
+        return k
+    return full - k
 
 
 def _residue_model(P: PrimeIdeal, m: int) -> tuple[int, int | None]:
-    """How O/P^m is represented: (modulus, root) maps x + y*w to (x + y*root) % modulus,
-    and (modulus, None) keeps the coordinate pair (x % modulus, y % modulus)."""
-    if m < 1:
-        raise ValueError("precision must be >= 1")
+    """How O/P^m, m = 1 or 2, is represented: (modulus, root) maps x + y*w to
+    (x + y*root) % modulus, and (modulus, None) keeps the pair (x % modulus, y % modulus)."""
+    if (m := as_index(m, "m")) not in (1, 2):
+        raise ValueError(f"residues are taken mod P or P**2, not P**{m}")
     if P.kind == KIND_RATIONAL:
         return P.p**m, 0
     if P.kind == KIND_INERT:
@@ -177,11 +172,9 @@ def _residue_model(P: PrimeIdeal, m: int) -> tuple[int, int | None]:
     if m == 1:
         return P.p, P.t
     if P.kind == KIND_SPLIT:
-        return P.p**m, lifted_root(P, m)
-    if m % 2 == 0:
-        # P**m is generated by the rational prime power p**(m/2)
-        return P.p ** (m // 2), None
-    raise ValueError("odd precision above 1 at a ramified prime has no plain integer model")
+        return P.p * P.p, _lift_root(P.field, P.p, P.t)
+    # a ramified P has P**2 = (p)
+    return P.p, None
 
 
 def residue_pow(a: QuadInt, e: int, P: PrimeIdeal, m: int = 1):

@@ -38,6 +38,7 @@ from .ideals import (
     KIND_RATIONAL,
     KIND_SPLIT,
     PrimeIdeal,
+    _lift_root,
     _place_roots,
     is_unit_mod,
     residue_order,
@@ -277,8 +278,7 @@ def _wieferich_kernel(a: QuadInt, primes: Iterable[int]) -> tuple[list[PrimeIdea
         pp = p * p
         if len(roots) == 2:
             t, other = roots
-            # one Newton step lifts the root t of w**2 - trace*w + nm to p**2
-            root = (t - (t * t - trace * t + nm) * pow(2 * t - trace, -1, p)) % pp
+            root = _lift_root(field, p, t)
             # the other root is trace - t, lifted to trace - root
             for place_t, lift in ((t, root), (other, (trace - root) % pp)):
                 u = (x + y * lift) % pp

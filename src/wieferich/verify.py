@@ -224,10 +224,10 @@ def check_order_consistency_range(cache: CycloFactorCache, n_max: int) -> BoundC
 class TrendReport:
     """Per-level exponent ratios of the powerful and squarefree parts.
 
-    Ratios compare log-norms against n log|Nm a| (or phi(n) log|Nm a| for the
-    level slice); no assertion is attached since the underlying asymptotics
-    carry unspecified constants.  The exact integer identity
-    Nm(squarefree) * Nm(powerful) = |Nm(a^n - 1)| is verified per level.
+    Ratios compare log-norms against n log|Nm a|; no assertion is attached
+    since the underlying asymptotics carry unspecified constants.  The exact
+    integer identity Nm(squarefree) * Nm(powerful) = |Nm(a^n - 1)| is
+    verified per level.
     """
 
     base: QuadInt
@@ -236,14 +236,8 @@ class TrendReport:
     skipped_levels: list[int] = dc_field(default_factory=list)
     identity_violations: list[int] = dc_field(default_factory=list)
 
-    def last_quartile_entries(self) -> list[dict]:
-        if not self.entries:
-            return []
-        start = (3 * len(self.entries)) // 4
-        return self.entries[start:]
-
     def summary(self) -> dict:
-        quartile = self.last_quartile_entries()
+        quartile = self.entries[3 * len(self.entries) // 4:]
         return {
             "base": self.base.coords(),
             "field": str(self.base.field),
@@ -261,7 +255,7 @@ class TrendReport:
 
 
 def bound_trend_report(cache: CycloFactorCache, n_max: int) -> TrendReport:
-    """Ratio series for the powerful, squarefree, and level-slice norms of cache.a.
+    """Ratio series for the powerful and squarefree norms of cache.a.
 
     The cache refuses zero and unit bases, so |Nm a| > 1 and the ratios exist.
     """
@@ -274,22 +268,13 @@ def bound_trend_report(cache: CycloFactorCache, n_max: int) -> TrendReport:
             continue
         norm_squarefree = dec.squarefree.norm()
         norm_powerful = dec.powerful.norm()
-        norm_total = abs(dec.power_value.norm())
-        if norm_squarefree * norm_powerful != norm_total:
+        if norm_squarefree * norm_powerful != abs(dec.power_value.norm()):
             report.identity_violations.append(n)
-        norm_slice = dec.level_squarefree.norm()
         report.entries.append(
             {
                 "n": n,
-                "norm_squarefree": norm_squarefree,
-                "norm_powerful": norm_powerful,
-                "norm_total": norm_total,
-                "norm_level_squarefree": norm_slice,
                 "squarefree_ratio": math.log(norm_squarefree) / (n * log_base),
                 "powerful_ratio": math.log(norm_powerful) / (n * log_base),
-                "level_squarefree_ratio": (
-                    math.log(norm_slice) / (euler_phi(n) * log_base)
-                ),
             }
         )
     return report
@@ -358,28 +343,25 @@ def abc_quality(alpha: QuadInt, beta: QuadInt, budget: FactorBudget | None = Non
     )
 
 
-def exception_set(d_list) -> dict[int, list[QuadInt]]:
-    """Per-field lists of all ring elements with norm at most 3.
+def exception_set(d: int) -> list[QuadInt]:
+    """All elements of norm at most 3 in the ring of Q(sqrt(-d)), sorted by (x, y).
 
     These are exactly the elements with some embedding at magnitude below 2,
     the bases excluded from the progression growth statement.  Enumeration is
     over the exact norm-form lattice, no floating point.
     """
-    out: dict[int, list[QuadInt]] = {}
-    for d in d_list:
-        spec = FieldSpec(d)
-        if spec.is_rational:
-            raise ValueError("d must be a squarefree integer >= 1, got 0")
-        trace, disc = spec.omega_trace, -spec.discriminant
-        found = []
-        # 4*Nm(x + y*w) = (2x + trace*y)^2 + |disc|*y^2 <= 12
-        y_bound = math.isqrt(12 // disc)
-        for y in range(-y_bound, y_bound + 1):
-            span = math.isqrt(12 - disc * y * y)
-            for x in range(-((span + trace * y) // 2), (span - trace * y) // 2 + 1):
-                found.append(spec.element(x, y))
-        out[d] = sorted(found, key=lambda e: (e.x, e.y))
-    return out
+    spec = FieldSpec(d)
+    if spec.is_rational:
+        raise ValueError("d must be a squarefree integer >= 1, got 0")
+    trace, disc = spec.omega_trace, -spec.discriminant
+    found = []
+    # 4*Nm(x + y*w) = (2x + trace*y)^2 + |disc|*y^2 <= 12
+    y_bound = math.isqrt(12 // disc)
+    for y in range(-y_bound, y_bound + 1):
+        span = math.isqrt(12 - disc * y * y)
+        for x in range(-((span + trace * y) // 2), (span - trace * y) // 2 + 1):
+            found.append(spec.element(x, y))
+    return sorted(found, key=lambda e: (e.x, e.y))
 
 
 def exception_set_union(d_max: int) -> list[tuple[int, QuadInt]]:
@@ -396,7 +378,7 @@ def exception_set_union(d_max: int) -> list[tuple[int, QuadInt]]:
     for d in range(1, min(d_max, 11) + 1):
         if not is_squarefree(d):
             continue
-        for element in exception_set([d])[d]:
+        for element in exception_set(d):
             if element.y == 0:
                 if element.x not in seen_rational:
                     seen_rational.add(element.x)

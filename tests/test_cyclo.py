@@ -33,7 +33,6 @@ from wieferich import (
     divisors,
     euler_phi,
     high_totient_count,
-    mobius,
     totient_density_constant,
 )
 from wieferich.intfactor import small_factors
@@ -121,17 +120,13 @@ class TestDivisorLattice:
     def test_phi(self, n):
         assert euler_phi(n) == naive_phi(n)
 
-    @given(st.integers(1, 2000))
-    def test_mobius(self, n):
-        assert mobius(n) == naive_mobius(n)
-
     @given(st.integers(1, 500))
     def test_phi_sum_identity(self, n):
         assert sum(euler_phi(d) for d in divisors(n)) == n
 
     @pytest.mark.parametrize("value", [10.5, 10.0, 0.5, Fraction(21, 2), Decimal(10), "10"])
     def test_non_integers_are_rejected(self, value):
-        for helper in (divisors, euler_phi, mobius, totient_density_constant):
+        for helper in (divisors, euler_phi, totient_density_constant):
             with pytest.raises(TypeError, match="n must be an integer"):
                 helper(value)
         with pytest.raises(TypeError, match="limit must be an integer"):
@@ -143,13 +138,13 @@ class TestDivisorLattice:
 
     @pytest.mark.parametrize("value", [0, -1, -12, False])
     def test_non_positive_values_are_rejected(self, value):
-        for helper in (divisors, euler_phi, mobius, totient_density_constant):
+        for helper in (divisors, euler_phi, totient_density_constant):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 helper(value)
 
     def test_bools_read_as_integers(self):
         assert divisors(True) == [1]
-        assert euler_phi(True) == mobius(True) == 1
+        assert euler_phi(True) == 1
         assert type(euler_phi(True)) is int
         assert cyclo.totient_sieve(True) == [0, 1]
         assert cyclo.totient_sieve(False) == [0]
@@ -226,23 +221,18 @@ class TestEvaluation:
 
     def test_cache_fill_divides_once_per_level_without_mobius(self, gauss_field, monkeypatch):
         # each level is a**n - 1 over the cached values at its proper divisors
-        calls = {"mobius": 0, "exact_div": 0}
-        real_mobius, real_exact_div = cyclo.mobius, QuadInt.exact_div
-
-        def counting_mobius(n):
-            calls["mobius"] += 1
-            return real_mobius(n)
+        calls = {"exact_div": 0}
+        real_exact_div = QuadInt.exact_div
 
         def counting_exact_div(self, other):
             calls["exact_div"] += 1
             return real_exact_div(self, other)
 
-        monkeypatch.setattr(cyclo, "mobius", counting_mobius)
         monkeypatch.setattr(QuadInt, "exact_div", counting_exact_div)
         cache = CycloFactorCache(gauss_field.element(2, 1))
         for n in range(1, 61):
             cache.value(n)
-        assert calls == {"mobius": 0, "exact_div": 60}
+        assert calls == {"exact_div": 60}
 
     def test_root_of_unity_base(self, d3_field):
         # omega is a primitive sixth root of unity: Phi_6(omega) = 0, so every

@@ -6,6 +6,7 @@ omega**2 = trace*omega - norm reduced naively; orders come from stepping
 powers one by one.
 """
 
+import itertools
 import pickle
 
 import pytest
@@ -16,6 +17,7 @@ from wieferich import (
     FactorBudget,
     FieldSpec,
     IdealFactorization,
+    InexactDivisionError,
     KIND_INERT,
     KIND_RAMIFIED,
     KIND_RATIONAL,
@@ -28,7 +30,7 @@ from wieferich import (
     residue_pow,
 )
 from wieferich import cli, ideals
-from wieferich.ideals import lifted_root, sqrt_mod_prime
+from wieferich.ideals import _lift_root, sqrt_mod_prime
 from wieferich.intfactor import padic_valuation, primes_up_to
 
 FIELD_DS = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15]
@@ -126,9 +128,27 @@ class TestSplitting:
             PrimeIdeal(gauss_field, 5.0, KIND_INERT)
         with pytest.raises(TypeError, match="t must be an integer"):
             PrimeIdeal(gauss_field, 5, KIND_SPLIT, 2.0)
-        P = PrimeIdeal(gauss_field, 5, KIND_SPLIT, True)
-        assert (P.label(), P.norm) == ("(5,split,1)", 5)
+        P = PrimeIdeal(gauss_field, 2, KIND_RAMIFIED, True)
+        assert (P.label(), P.norm) == ("(2,ramified,1)", 2)
         assert type(P.t) is int
+
+    def test_prime_ideal_checks_its_root(self, gauss_field):
+        # (5, w - 1) would be the whole ring: 1 is no root of w**2 + 1 mod 5
+        with pytest.raises(ValueError, match="no root"):
+            PrimeIdeal(FieldSpec(1), 5, KIND_SPLIT, 1)
+        with pytest.raises(ValueError, match="no root"):
+            PrimeIdeal(gauss_field, 2, KIND_RAMIFIED, 0)
+        for d in FIELD_DS:
+            field = FieldSpec.from_d(d)
+            for p in primes_up_to(30):
+                roots = min_poly_roots(field, p)
+                kind = KIND_RAMIFIED if field.discriminant % p == 0 else KIND_SPLIT
+                for t in range(p):
+                    if t in roots:
+                        assert PrimeIdeal(field, p, kind, t).t == t
+                    else:
+                        with pytest.raises(ValueError, match="no root"):
+                            PrimeIdeal(field, p, kind, t)
 
     def test_unproved_probable_prime_is_refused(self, gauss_field, monkeypatch, capsys):
         p = 2**127 - 1
@@ -156,25 +176,17 @@ class TestModularHelpers:
             else:
                 assert sqrt_mod_prime(n, p) is None
 
-    def test_lifted_root_satisfies_poly(self, gauss_field):
-        P = primes_above(gauss_field, 5)[0]
-        assert (P.kind, P.t) == (KIND_SPLIT, 2)
-        assert lifted_root(P, 2) == 7
-        for prec in range(1, 8):
-            t = lifted_root(P, prec)
-            assert (t * t + 1) % 5**prec == 0
-            assert t % 5 == 2
-
     @pytest.mark.parametrize("d", [1, 2, 7, 11])
-    def test_lifted_root_every_split_prime(self, d):
+    def test_lift_root_every_split_prime(self, d):
         field = FieldSpec.from_d(d)
         trace, norm = field.omega_trace, field.omega_norm
         for p in primes_up_to(60):
             for P in primes_above(field, p):
                 if P.kind != KIND_SPLIT:
                     continue
-                t = lifted_root(P, 5)
-                assert (t * t - trace * t + norm) % p**5 == 0
+                t = _lift_root(field, p, P.t)
+                assert 0 <= t < p * p
+                assert (t * t - trace * t + norm) % (p * p) == 0
                 assert t % p == P.t
 
 
@@ -220,6 +232,39 @@ class TestValuations:
             for P in primes_above(field, p):
                 assert element_valuation(P, a * b) == element_valuation(P, a) + element_valuation(P, b)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+    def test_split_valuation_counts_divisions_by_a_generator(self, d):
+        # in these class-number-one rings each split P is (pi); v_P(gamma) is
+        # how often pi divides gamma exactly, read with no residue or gcd rule
+        field = FieldSpec.from_d(d)
+        cofactors = [field.element(x, y) for x, y in ((1, 0), (2, 1), (3, -1), (1, 4), (-5, 2))]
+
+        def divisions(gamma, pi):
+            count = 0
+            while True:
+                try:
+                    gamma = gamma.exact_div(pi)
+                except InexactDivisionError:
+                    return count
+                count += 1
+
+        for p in primes_up_to(50):
+            for P in primes_above(field, p):
+                if P.kind != KIND_SPLIT:
+                    continue
+                pi = next(
+                    g for y in range(-12, 13) for x in range(-12, 13)
+                    if (g := field.element(x, y)).abs_norm() == p and (x + y * P.t) % p == 0
+                )
+                for c in cofactors:
+                    if c.abs_norm() % p == 0:
+                        continue
+                    for k, i, j in itertools.product(range(4), repeat=3):
+                        gamma = field.element(p) ** k * pi**i * pi.conjugate() ** j * c
+                        count = divisions(gamma, pi)
+                        assert count == k + i
+                        assert element_valuation(P, gamma) == count, (P, gamma)
+
     def test_rational_mode(self, rational_field):
         P = primes_above(rational_field, 3)[0]
         assert element_valuation(P, rational_field.element(-54)) == 3
@@ -233,8 +278,8 @@ class TestResidues:
         assert (P.kind, P.t) == (KIND_SPLIT, 2)
         a = gauss_field.element(2, 1)
         assert residue_pow(a, 1, P) == (2 + 1 * 2) % 5
-        t2 = lifted_root(P, 2)
-        assert residue_pow(a, 1, P, 2) == (2 + 1 * t2) % 25
+        # 7 is the root 2 of w**2 + 1 lifted to 25
+        assert residue_pow(a, 1, P, 2) == (2 + 1 * 7) % 25
         assert residue_pow(a, 4, P, 2) == 11
         assert residue_pow(a, 0, P, 2) == 1
 
@@ -268,6 +313,20 @@ class TestResidues:
         assert residue_pow(a, 1, P, 2) == (0, 1)
         with pytest.raises(ValueError):
             residue_pow(a, 1, P, 3)
+
+    def test_only_p_and_p_squared_have_models(self, gauss_field, rational_field):
+        # one place of each kind: split (5, w - 2), inert 3 and ramified (2, w - 1) in Z[i], rational 3
+        places = [primes_above(gauss_field, p)[0] for p in (5, 3, 2)]
+        places.append(primes_above(rational_field, 3)[0])
+        assert [P.kind for P in places] == [KIND_SPLIT, KIND_INERT, KIND_RAMIFIED, KIND_RATIONAL]
+        for P in places:
+            a = P.field.element(2) if P.field.is_rational else P.field.element(2, 1)
+            for m in (0, 3, 4):
+                with pytest.raises(ValueError, match=f"not P\\*\\*{m}"):
+                    residue_pow(a, 1, P, m)
+            with pytest.raises(TypeError, match="m must be an integer"):
+                residue_pow(a, 1, P, 2.0)
+            assert residue_pow(a, 1, P, True) == residue_pow(a, 1, P, 1)
 
     def test_rejects_an_element_of_another_field(self, gauss_field, d2_field):
         P = primes_above(d2_field, 3)[0]
